@@ -10,13 +10,20 @@ GO ?= go
 # detection on fresh mutations of the seed corpus, not deep exploration.
 FUZZTIME ?= 10s
 
-.PHONY: check build vet vet-obs vet-wal test race race-core bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke fsfault-soak chaos bench
+.PHONY: check build bench-build vet vet-obs vet-wal test race race-core bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke fsfault-soak chaos bench
 
-check: vet-obs vet-wal build test race race-core bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke
+check: vet-obs vet-wal build bench-build test race race-core bench-smoke bench-diff fuzz-smoke crash-smoke sim-smoke fsfault-smoke
 	@echo "tier-1 gate: OK"
 
 build:
 	$(GO) build ./...
+
+# The benchmark (whynotbench/) is its own module, built against this checkout
+# through a replace directive, so the root `go build ./...` never compiles it:
+# without this target an API change that breaks the benchmark would still
+# pass the gate.
+bench-build:
+	cd whynotbench && GOWORK=off $(GO) build -o /dev/null .
 
 vet:
 	$(GO) vet ./...

@@ -6,9 +6,11 @@ package repro
 // safe-region intersection.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/grid"
 	"repro/internal/region"
@@ -22,12 +24,12 @@ import (
 func BenchmarkAblationApproxK(b *testing.B) {
 	s := benchSuite(b, datagen.CarDB)
 	for _, k := range []int{2, 5, 10, 20, 40} {
-		store := s.Engine.BuildApproxStoreParallel(rslCustomers(s), k, 0, 0)
+		store := must(s.Engine.BuildApproxStoreCtx(exec.WithWorkers(context.Background(), -1), rslCustomers(s), k, 0))
 		b.Run(benchName("k", k), func(b *testing.B) {
 			e := s.Engine
 			qc := s.Cases[len(s.Cases)-1]
 			for n := 0; n < b.N; n++ {
-				e.MWQApprox(qc.WhyNot, qc.Q, qc.RSL, store, whynot.Options{})
+				e.MWQApproxCtx(context.Background(), qc.WhyNot, qc.Q, qc.RSL, store, whynot.Options{})
 			}
 		})
 	}
@@ -59,7 +61,7 @@ func BenchmarkAblationPageSize(b *testing.B) {
 		b.Run(benchName("page", page), func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				c := items[n%len(items)]
-				db.WindowExists(c.Point, q, c.ID)
+				db.WindowExistsChecked(nil, c.Point, q, c.ID)
 			}
 		})
 	}
@@ -73,7 +75,7 @@ func BenchmarkAblationRSLFilter(b *testing.B) {
 	q := NewPoint(500, 500)
 	b.Run("unfiltered", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
-			db.ReverseSkyline(items, q)
+			db.ReverseSkylineCtx(context.Background(), items, q)
 		}
 	})
 	b.Run("global-filter", func(b *testing.B) {
@@ -83,7 +85,7 @@ func BenchmarkAblationRSLFilter(b *testing.B) {
 	})
 	b.Run("bbrs-index", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
-			db.ReverseSkylineBBRS(q)
+			db.ReverseSkylineBBRSCtx(context.Background(), q)
 		}
 	})
 }
@@ -96,7 +98,7 @@ func BenchmarkAblationRegionPrune(b *testing.B) {
 	// Collect the per-customer anti-DDRs once.
 	var parts []region.Set
 	for _, c := range qc.RSL {
-		parts = append(parts, s.Engine.AntiDDROf(c))
+		parts = append(parts, must(s.Engine.AntiDDROfCtx(context.Background(), c)))
 	}
 	b.Run("with-prune", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
@@ -131,12 +133,12 @@ func BenchmarkAblationStoreBuild(b *testing.B) {
 	customers := rslCustomers(s)
 	b.Run("serial", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
-			s.Engine.BuildApproxStore(customers, 10, 0)
+			s.Engine.BuildApproxStoreCtx(context.Background(), customers, 10, 0)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
-			s.Engine.BuildApproxStoreParallel(customers, 10, 0, 0)
+			s.Engine.BuildApproxStoreCtx(exec.WithWorkers(context.Background(), -1), customers, 10, 0)
 		}
 	})
 }
@@ -170,7 +172,7 @@ func BenchmarkAblationIndexSubstrate(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				c := items[n%len(items)]
 				q := items[(n*7+1)%len(items)]
-				db.WindowExists(c.Point, q.Point, c.ID)
+				db.WindowExistsChecked(nil, c.Point, q.Point, c.ID)
 			}
 		})
 		b.Run(kind.String()+"/grid", func(b *testing.B) {

@@ -8,6 +8,7 @@ package repro
 // table or one point of the corresponding figure.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -20,6 +21,14 @@ import (
 	"repro/internal/skyline"
 	"repro/internal/whynot"
 )
+
+// must unwraps a query run under a background context, which cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 const (
 	benchSize = 20000
@@ -131,7 +140,7 @@ func BenchmarkFig15MWP(b *testing.B) {
 	qc := s.Cases[i]
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		e.MWP(qc.WhyNot, qc.Q, whynot.Options{})
+		e.MWPCtx(context.Background(), qc.WhyNot, qc.Q, whynot.Options{})
 	}
 }
 
@@ -141,7 +150,7 @@ func BenchmarkFig15MQP(b *testing.B) {
 	qc := s.Cases[i]
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		e.MQP(qc.WhyNot, qc.Q, whynot.Options{})
+		e.MQPCtx(context.Background(), qc.WhyNot, qc.Q, whynot.Options{})
 	}
 }
 
@@ -151,7 +160,7 @@ func BenchmarkFig15SafeRegion(b *testing.B) {
 	qc := s.Cases[i]
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		e.SafeRegion(qc.Q, qc.RSL)
+		e.SafeRegionCtx(context.Background(), qc.Q, qc.RSL)
 	}
 }
 
@@ -161,7 +170,7 @@ func BenchmarkFig15MWQ(b *testing.B) {
 	qc := s.Cases[i]
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		e.MWQExact(qc.WhyNot, qc.Q, qc.RSL, whynot.Options{})
+		e.MWQExactCtx(context.Background(), qc.WhyNot, qc.Q, qc.RSL, whynot.Options{})
 	}
 }
 
@@ -175,7 +184,7 @@ func BenchmarkFig17ApproxMWQ(b *testing.B) {
 	qc := s.Cases[i]
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		e.MWQApprox(qc.WhyNot, qc.Q, qc.RSL, store, whynot.Options{})
+		e.MWQApproxCtx(context.Background(), qc.WhyNot, qc.Q, qc.RSL, store, whynot.Options{})
 	}
 }
 
@@ -212,7 +221,7 @@ func BenchmarkWindowExistenceQuery(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		c := items[rng.Intn(len(items))]
-		db.WindowExists(c.Point, q, c.ID)
+		db.WindowExistsChecked(nil, c.Point, q, c.ID)
 	}
 }
 
@@ -221,7 +230,7 @@ func BenchmarkDynamicSkylineBBS(b *testing.B) {
 	db := rskyline.NewDB(2, items, rtree.Config{})
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		db.DynamicSkyline(NewPoint(500, 500))
+		db.DynamicSkylineChecked(nil, NewPoint(500, 500))
 	}
 }
 
@@ -230,7 +239,7 @@ func BenchmarkReverseSkylineFiltered(b *testing.B) {
 	db := rskyline.NewDB(2, items, rtree.Config{})
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		db.ReverseSkylineFiltered(items, NewPoint(500, 500))
+		db.ReverseSkylineFilteredCtx(context.Background(), items, NewPoint(500, 500))
 	}
 }
 
@@ -239,7 +248,7 @@ func BenchmarkReverseSkylineUnfiltered(b *testing.B) {
 	db := rskyline.NewDB(2, items, rtree.Config{})
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		db.ReverseSkyline(items, NewPoint(500, 500))
+		db.ReverseSkylineCtx(context.Background(), items, NewPoint(500, 500))
 	}
 }
 
@@ -293,7 +302,7 @@ func benchCarDB50K(b *testing.B) ([]Item, Point, []Item) {
 			for j := range q {
 				q[j] *= 1.01
 			}
-			if rsl := db.ReverseSkylineBBRS(q); len(rsl) >= 16 {
+			if rsl := must(db.ReverseSkylineBBRSCtx(context.Background(), q)); len(rsl) >= 16 {
 				carDB50K.items, carDB50K.q, carDB50K.rsl = items, q, rsl[:16]
 				return
 			}
@@ -345,6 +354,6 @@ func BenchmarkApproxStoreBuild(b *testing.B) {
 	e := whynot.NewEngine(db, true)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		e.BuildApproxStore(items[:200], 10, 0)
+		e.BuildApproxStoreCtx(context.Background(), items[:200], 10, 0)
 	}
 }

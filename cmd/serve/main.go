@@ -49,7 +49,7 @@ func run(args []string, out *os.File) error {
 		seed       = fs.Int64("seed", 2013, "synthetic dataset seed")
 		store      = fs.Bool("store", false, "precompute the approximate safe-region store (enables the approx rung)")
 		storeK     = fs.Int("storek", 10, "approximate-store sampling constant")
-		workers    = fs.Int("workers", -1, "per-query parallelism (0 sequential, <0 GOMAXPROCS)")
+		workers    = fs.Int("workers", -1, "per-query parallelism: 0 or 1 sequential, n > 1 fans per-customer loops out over n goroutines, < 0 GOMAXPROCS")
 		cacheSize  = fs.Int("cache", 4096, "per-customer memoisation cache size (0 disables)")
 		maxConc    = fs.Int("max-concurrent", 0, "admission tokens (0 = 2x GOMAXPROCS)")
 		maxQueue   = fs.Int("max-queue", 0, "admission wait-queue bound (0 = 8x tokens)")

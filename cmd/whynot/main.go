@@ -125,7 +125,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	saveStore := fs.String("save-store", "", "file to write the approximate store to (buildstore)")
 	timeout := fs.Duration("timeout", 0, "per-query deadline (0 = none), e.g. 100ms")
 	degrade := fs.Bool("degrade", false, "on deadline/fault, fall back to cheaper algorithms (mwq)")
-	workers := fs.Int("workers", 1, "parallelism for per-customer loops (1 = sequential, 0 or <0 = all CPUs)")
+	workers := fs.Int("workers", 1, "per-query parallelism: 0 or 1 sequential, n > 1 fans per-customer loops out over n goroutines, < 0 GOMAXPROCS")
 	cacheSize := fs.Int("cache", 0, "per-customer memoisation cache entries (0 = disabled)")
 	stats := fs.Bool("stats", false, "print the paper's cost counters (node accesses, dominance tests, ...) and this run's flight QueryRecord after the answer")
 	traceFlag := fs.Bool("trace", false, "print the per-query span/event trace after the answer")
@@ -204,13 +204,9 @@ func run(args []string, out io.Writer) (retErr error) {
 	if q != nil && dims != q.Dims() {
 		return fmt.Errorf("query has %d dims, dataset has %d", q.Dims(), dims)
 	}
-	par := *workers
-	if par <= 0 {
-		par = -1 // repro convention: negative = GOMAXPROCS
-	}
 	observe := *stats || *traceFlag || *metricsAddr != ""
 	dbOpts := repro.DBOptions{
-		Parallelism:   par,
+		Parallelism:   *workers,
 		CacheSize:     *cacheSize,
 		Observability: observe,
 	}
@@ -263,7 +259,7 @@ func run(args []string, out io.Writer) (retErr error) {
 			Slowlog:         sl,
 			Epoch:           time.Now().Add(-time.Duration(obs.Now())),
 		})
-		act = led.Begin(cmd, "cli", fmt.Sprintf("cmd=%s q=%s c=%d", cmd, *qSpec, *cid), par)
+		act = led.Begin(cmd, "cli", fmt.Sprintf("cmd=%s q=%s c=%d", cmd, *qSpec, *cid), db.Workers())
 		defer func() {
 			// A degraded answer is still a served answer: the record says
 			// outcome ok with the degraded flag set (and keeps the exit-3
@@ -374,7 +370,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		}
 		sp.mark()
 		t0 := time.Now()
-		built, err := db.BuildApproxStoreParallelContext(ctx, rsl, *k, db.Workers())
+		built, err := db.BuildApproxStoreContext(ctx, rsl, *k)
 		if err != nil {
 			return err
 		}
@@ -460,7 +456,6 @@ func run(args []string, out io.Writer) (retErr error) {
 			Timeout: *timeout,
 			Degrade: *degrade,
 			Store:   store,
-			Workers: db.Workers(),
 		}
 		if observe {
 			cfg.Metrics = engine.NewMetrics(db.Metrics())
@@ -694,7 +689,7 @@ robustness flags:
   -degrade    let mwq fall back: exact -> approximate (-store) -> MWP
 
 performance flags:
-  -workers n  fan per-customer loops out over n goroutines (1 = sequential, 0 = all CPUs)
+  -workers n  per-query parallelism: 0 or 1 sequential, n > 1 fans per-customer loops out over n goroutines, < 0 GOMAXPROCS
   -cache n    memoise up to n per-customer dynamic skylines / anti-DDRs (0 = off)
 
 observability flags:

@@ -50,17 +50,6 @@ func TestExplainPlanGoldenWorkedExample(t *testing.T) {
 	})
 
 	t.Run("mwq", func(t *testing.T) {
-		rsl := db.ReverseSkyline(items, q)
-		if len(rsl) != 5 {
-			t.Fatalf("|RSL(q)| = %d, want 5 (worked example broke)", len(rsl))
-		}
-		res, plan, err := db.MWQExactExplain(context.Background(), ct, q, rsl, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Case != 2 {
-			t.Fatalf("case = C%d, want C2 (safe region cannot reach customer 1)", res.Case)
-		}
 		const want = `plan mwq dims=2 rung=exact fp=5f968168f11c7ae0
   mwq acc=9 leaf=9 levels=[L0:9] rtree_pruned=24 dt=37 wq=3 cand=5 pruned=6
     saferegion.exact rule=safe-region in=5 out=2 prune=60.0% acc=5 leaf=5 levels=[L0:5] rtree_pruned=19 dt=19 wq=0 cand=0 pruned=0
@@ -68,14 +57,31 @@ func TestExplainPlanGoldenWorkedExample(t *testing.T) {
       mwq.overlap rule=safe-region in=2 out=0 prune=100.0% acc=1 leaf=1 levels=[L0:1] rtree_pruned=5 dt=1 wq=0 cand=0 pruned=0
       mwq.corners rule=midpoint in=8 out=2 prune=75.0% acc=2 leaf=2 levels=[L0:2] dt=16 wq=2 cand=5 pruned=6
 `
-		if got := plan.StableString(); got != want {
-			t.Errorf("mwq plan drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
-		}
-		// The timed rendering of the same plan carries estimates and deltas.
-		timed := plan.String()
-		for _, frag := range []string{"est=", "act=", "total="} {
-			if !strings.Contains(timed, frag) {
-				t.Errorf("timed rendering missing %q:\n%s", frag, timed)
+		// The plan must not depend on the fan-out width: a fanned-out safe
+		// region records the same node, counters and fingerprint as the
+		// inline one.
+		for _, par := range []int{1, 4, -1} {
+			db := NewDBWithOptions(2, items, DBOptions{Parallelism: par})
+			rsl := db.ReverseSkyline(items, q)
+			if len(rsl) != 5 {
+				t.Fatalf("|RSL(q)| = %d, want 5 (worked example broke)", len(rsl))
+			}
+			res, plan, err := db.MWQExactExplain(context.Background(), ct, q, rsl, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Case != 2 {
+				t.Fatalf("case = C%d, want C2 (safe region cannot reach customer 1)", res.Case)
+			}
+			if got := plan.StableString(); got != want {
+				t.Errorf("Parallelism %d: mwq plan drifted:\n--- got ---\n%s--- want ---\n%s", par, got, want)
+			}
+			// The timed rendering of the same plan carries estimates and deltas.
+			timed := plan.String()
+			for _, frag := range []string{"est=", "act=", "total="} {
+				if !strings.Contains(timed, frag) {
+					t.Errorf("Parallelism %d: timed rendering missing %q:\n%s", par, frag, timed)
+				}
 			}
 		}
 	})

@@ -166,16 +166,6 @@ func (c *Checker) poll() error {
 	return c.err
 }
 
-// Context returns the context the checker was built from, or nil for the
-// zero-overhead nil checker. Parallel executors use it to build one fresh
-// Checker per worker goroutine (Checkers themselves are single-goroutine).
-func (c *Checker) Context() context.Context {
-	if c == nil {
-		return nil
-	}
-	return c.ctx
-}
-
 // Err returns the cancellation error observed by an earlier Point, or nil.
 // It never polls the context itself, so a traversal that aborted because a
 // callback returned false is distinguishable from one that was cancelled.

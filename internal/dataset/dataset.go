@@ -8,6 +8,7 @@ package dataset
 
 import (
 	"bufio"
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -263,7 +264,8 @@ func FindQueries(db *rskyline.DB, customers []Item, targets []int, maxTrials int
 		if mono {
 			rsl = db.ReverseSkylineMono(q)
 		} else {
-			rsl = db.ReverseSkylineFiltered(customers, q)
+			// A background context cannot be cancelled: no error.
+			rsl, _ = db.ReverseSkylineFilteredCtx(context.Background(), customers, q)
 		}
 		size := len(rsl)
 		if !want[size] {

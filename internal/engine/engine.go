@@ -21,7 +21,14 @@
 //
 // Everything runs synchronously on the caller's goroutine — cooperative
 // checkpoints (package cancel) make watchdog goroutines unnecessary, so a
-// degraded or failed query leaks nothing.
+// degraded or failed query leaks nothing. That includes the per-customer
+// loops inside each rung: the ladder pins the fan-out width on its context
+// to 1 (internal/exec), whatever width the caller's context carries. A
+// serving process already runs one ladder per in-flight request, and fanning
+// the exact rung out on top of that was measured to cost throughput: on the
+// degrade_3d benchmark workload (uniform data, N=2000, d=3, on a 2-CPU host),
+// where the exact rung usually runs into its timeout, why-not requests per
+// second fell by 27%, and the 2-d workloads showed no gain (DESIGN.md §8.1).
 package engine
 
 import (
@@ -32,6 +39,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/whynot"
@@ -202,11 +210,11 @@ type Config struct {
 	Store *whynot.ApproxStore
 	// Options are passed to the underlying algorithms.
 	Options whynot.Options
-	// Workers is the parallelism of the exact rung's safe-region
-	// construction: 0 or 1 runs sequentially, n > 1 fans the per-customer
-	// anti-dominance regions out over n goroutines (internal/exec). The
-	// cooperative checkpoints keep firing inside the pool, so per-rung
-	// timeouts and fault injection behave as in the sequential rung.
+	// Workers is ignored: every rung runs on the caller's goroutine (see the
+	// package comment).
+	//
+	// Deprecated: the ladder never fans out. The field is kept only
+	// because the benchmark in whynotbench/ still sets it.
 	Workers int
 	// Metrics, when non-nil, receives per-rung attempt/failure/duration and
 	// degradation recordings.
@@ -246,20 +254,14 @@ type Answer struct {
 // returned error (always a *QueryError, possibly joining one failure per
 // attempted rung) unwraps to ctx's error when the budget ran out.
 func (r *Runner) MWQ(ctx context.Context, ct whynot.Item, q geom.Point, rsl []whynot.Item) (Answer, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx = exec.WithWorkers(ctx, 1) // every rung on the caller's goroutine
 	tr := obs.TraceFrom(ctx)
 	var errs []error
 
 	var res whynot.MWQResult
 	err := r.gatedRung(ctx, RungExact, "exact MWQ", func(rctx context.Context) error {
 		var e error
-		if r.Cfg.Workers > 1 {
-			res, e = r.Engine.MWQExactParallelCtx(rctx, ct, q, rsl, r.Cfg.Options, r.Cfg.Workers)
-		} else {
-			res, e = r.Engine.MWQExactCtx(rctx, ct, q, rsl, r.Cfg.Options)
-		}
+		res, e = r.Engine.MWQExactCtx(rctx, ct, q, rsl, r.Cfg.Options)
 		return e
 	})
 	if err == nil {

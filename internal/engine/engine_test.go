@@ -27,20 +27,29 @@ type fixture struct {
 	store *whynot.ApproxStore
 }
 
+// must unwraps an unchecked query: with a background context no query can
+// fail, so an error here is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	products := datagen.Generate(datagen.AntiCorrelated, 400, 2, 7)
 	e := whynot.NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
 	q := products[13].Point.Clone()
 	q[0] *= 1.02
-	rsl := e.DB.ReverseSkylineFiltered(products, q)
+	rsl := must(e.DB.ReverseSkylineFilteredCtx(context.Background(), products, q))
 	if len(rsl) < 3 {
 		t.Fatalf("fixture too small: |RSL| = %d", len(rsl))
 	}
 	var ct whynot.Item
 	found := false
 	for _, p := range products {
-		if !e.DB.IsReverseSkyline(p, q) {
+		if !must(e.DB.IsReverseSkylineChecked(nil, p, q)) {
 			ct, found = p, true
 			break
 		}
@@ -53,7 +62,7 @@ func newFixture(t testing.TB) *fixture {
 		q:     q,
 		ct:    ct,
 		rsl:   rsl,
-		store: e.BuildApproxStore(rsl, 5, 0),
+		store: must(e.BuildApproxStoreCtx(context.Background(), rsl, 5, 0)),
 	}
 }
 
@@ -68,14 +77,14 @@ func replayAnswer(t *testing.T, f *fixture, ans Answer) {
 	}
 	switch ans.Result.Case {
 	case whynot.CaseOverlap:
-		if !f.e.ValidateQueryMove(f.ct, ans.Result.QStar, eps) {
+		if !must(f.e.ValidateQueryMoveCtx(context.Background(), f.ct, ans.Result.QStar, eps)) {
 			t.Fatalf("C1 answer q*=%v does not admit the customer", ans.Result.QStar)
 		}
-		if lost := f.e.LostCustomers(ans.Result.QStar, f.rsl); len(lost) != 0 {
+		if lost := must(f.e.LostCustomersCtx(context.Background(), ans.Result.QStar, f.rsl)); len(lost) != 0 {
 			t.Fatalf("C1 answer loses %d customers", len(lost))
 		}
 	case whynot.CaseDisjoint:
-		if !f.e.ValidateWhyNotMove(f.ct, ans.Result.QStar, ans.Result.CtStar, eps) {
+		if !must(f.e.ValidateWhyNotMoveCtx(context.Background(), f.ct, ans.Result.QStar, ans.Result.CtStar, eps)) {
 			t.Fatalf("C2 answer q*=%v ct*=%v is invalid", ans.Result.QStar, ans.Result.CtStar)
 		}
 	default:
@@ -106,7 +115,7 @@ func TestExactRungCleanRun(t *testing.T) {
 	if ans.Degraded || ans.Rung != RungExact {
 		t.Fatalf("clean run degraded: rung=%v degraded=%v", ans.Rung, ans.Degraded)
 	}
-	want := f.e.MWQExact(f.ct, f.q, f.rsl, whynot.Options{})
+	want := must(f.e.MWQExactCtx(context.Background(), f.ct, f.q, f.rsl, whynot.Options{}))
 	if ans.Result.Cost != want.Cost {
 		t.Fatalf("runner cost %v != direct cost %v", ans.Result.Cost, want.Cost)
 	}

@@ -4,11 +4,15 @@
 // memoisation cache (cache.go) for the per-customer structures those loops
 // recompute.
 //
-// Every fan-out in the repository — reverse-skyline verification, safe-region
-// anti-DDR construction, batch why-not answering, approximate-store
-// precomputation — goes through ForEach, so the cancellation, first-error and
-// panic-propagation semantics are identical everywhere:
+// Every per-customer loop in the repository — reverse-skyline verification,
+// safe-region anti-DDR construction, batch why-not answering,
+// approximate-store precomputation — is one body run through ForEach, so the
+// cancellation, first-error and panic-propagation semantics are identical
+// everywhere and at every width:
 //
+//   - the width travels on the query context (WithWorkers), the same way
+//     fault-injection hooks and pool metrics do, so no operation takes a
+//     worker-count parameter; a context without one runs inline;
 //   - each worker goroutine builds its own cancel.Checker from the shared
 //     context (Checkers are deliberately single-goroutine), so deadlines and
 //     fault-injection hooks keep working inside parallel sections;
@@ -17,9 +21,8 @@
 //   - a panic in any worker is re-raised on the calling goroutine after all
 //     workers have exited, so recovery middleware above the pool still sees
 //     it and no goroutine leaks;
-//   - workers <= 1 runs inline on the calling goroutine with sequential
-//     semantics, so the parallel entry points degrade to exactly the
-//     single-threaded behaviour when parallelism is disabled.
+//   - width 1 runs the same body inline on the calling goroutine, in index
+//     order, which is exactly the single-threaded reference behaviour.
 package exec
 
 import (
@@ -31,43 +34,63 @@ import (
 	"repro/internal/obs"
 )
 
-// Resolve maps a workers knob onto an actual worker count for n jobs:
-// 0 or negative means GOMAXPROCS, and the count never exceeds n (spawning
-// more goroutines than jobs only costs scheduling).
-func Resolve(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// Width resolves a parallelism knob in the repository's one convention:
+// 0 or 1 runs sequentially, n > 1 uses n workers, and a negative value means
+// GOMAXPROCS. Every user-facing knob (DBOptions.Parallelism, the -workers
+// flags, the server's Workers) follows it.
+func Width(parallelism int) int {
+	switch {
+	case parallelism < 0:
+		return runtime.GOMAXPROCS(0)
+	case parallelism == 0:
+		return 1
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return parallelism
 }
 
-// ForEach runs fn(chk, i) for every i in [0, n), fanned out over the given
-// number of worker goroutines (0 = GOMAXPROCS, capped at n). Before each job
-// the per-worker checker fires a checkpoint at site, so deadlines and
-// fault-injection rules behave as in the sequential loops. The first error
+type workersKey struct{}
+
+// WithWorkers returns a context whose ForEach fan-outs use
+// Width(parallelism) workers.
+func WithWorkers(ctx context.Context, parallelism int) context.Context {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return context.WithValue(ctx, workersKey{}, Width(parallelism))
+}
+
+// Workers returns the fan-out width carried by ctx: 1 (inline) when the
+// context carries none.
+func Workers(ctx context.Context) int {
+	if ctx == nil {
+		return 1
+	}
+	if w, ok := ctx.Value(workersKey{}).(int); ok {
+		return w
+	}
+	return 1
+}
+
+// ForEach runs fn(chk, i) for every i in [0, n), fanned out over
+// Workers(ctx) goroutines (never more than n). Before each job the
+// per-worker checker fires a checkpoint at site, so deadlines and
+// fault-injection rules behave the same at every width. The first error
 // returned by any fn stops the pool and is returned; a panic in any fn is
 // re-raised on the calling goroutine once every worker has drained.
 //
 // fn must be safe to call concurrently for distinct i; writes to shared
 // output should go to per-index slots (out[i] = ...), which needs no locking.
-func ForEach(ctx context.Context, n, workers int, site string, fn func(chk *cancel.Checker, i int) error) error {
+func ForEach(ctx context.Context, n int, site string, fn func(chk *cancel.Checker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	if ctx == nil {
-		// The context-free public API funnels here with a nil context;
-		// pprof.Do (unlike the cancel/obs lookups) requires a real one.
+		// pprof.Do (unlike the cancel/obs lookups) requires a real context.
 		ctx = context.Background()
 	}
 	m := obs.ExecFrom(ctx)
-	workers = Resolve(workers, n)
-	if workers == 1 {
+	workers := min(Workers(ctx), n)
+	if workers <= 1 {
 		chk := cancel.FromContext(ctx)
 		if m != nil {
 			m.InlineRuns.Inc()
@@ -140,11 +163,4 @@ func ForEach(ctx context.Context, n, workers int, site string, fn func(chk *canc
 	close(jobs)
 	pool.wg.Wait()
 	return pool.finish()
-}
-
-// ForEachChecked is ForEach for call sites that hold a *cancel.Checker
-// rather than a context (the internal checked paths). The workers are built
-// from the checker's underlying context, so hooks and deadlines carry over.
-func ForEachChecked(chk *cancel.Checker, n, workers int, site string, fn func(chk *cancel.Checker, i int) error) error {
-	return ForEach(chk.Context(), n, workers, site, fn)
 }

@@ -3,19 +3,21 @@ package exec
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/cancel"
+	"repro/internal/obs"
 )
 
 func TestForEachRunsEveryJob(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 0} {
+	for _, workers := range []int{1, 2, 4, -1} {
 		n := 100
 		out := make([]int, n)
-		err := ForEach(context.Background(), n, workers, "test.site", func(_ *cancel.Checker, i int) error {
+		err := ForEach(WithWorkers(context.Background(), workers), n, "test.site", func(_ *cancel.Checker, i int) error {
 			out[i] = i + 1
 			return nil
 		})
@@ -32,7 +34,7 @@ func TestForEachRunsEveryJob(t *testing.T) {
 
 func TestForEachZeroJobs(t *testing.T) {
 	called := false
-	if err := ForEach(context.Background(), 0, 4, "s", func(_ *cancel.Checker, _ int) error {
+	if err := ForEach(WithWorkers(context.Background(), 4), 0, "s", func(_ *cancel.Checker, _ int) error {
 		called = true
 		return nil
 	}); err != nil || called {
@@ -44,7 +46,7 @@ func TestForEachFirstErrorWinsAndStops(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEach(context.Background(), 1000, workers, "s", func(_ *cancel.Checker, i int) error {
+		err := ForEach(WithWorkers(context.Background(), workers), 1000, "s", func(_ *cancel.Checker, i int) error {
 			ran.Add(1)
 			if i == 3 {
 				return boom
@@ -74,7 +76,7 @@ func TestForEachPanicReRaisedOnCaller(t *testing.T) {
 					t.Fatalf("workers=%d: recovered %v, want wrapped kaboom", workers, r)
 				}
 			}()
-			_ = ForEach(context.Background(), 50, workers, "s", func(_ *cancel.Checker, i int) error {
+			_ = ForEach(WithWorkers(context.Background(), workers), 50, "s", func(_ *cancel.Checker, i int) error {
 				if i == 7 {
 					panic("kaboom")
 				}
@@ -90,7 +92,7 @@ func TestForEachObservesContextCancellation(t *testing.T) {
 	cancelCtx()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
-		err := ForEach(ctx, 100, workers, "s", func(_ *cancel.Checker, _ int) error {
+		err := ForEach(WithWorkers(ctx, workers), 100, "s", func(_ *cancel.Checker, _ int) error {
 			ran.Add(1)
 			return nil
 		})
@@ -112,7 +114,7 @@ func (h *countingHook) Visit(string, uint64) { h.n.Add(1) }
 func TestForEachFiresCheckpointPerJob(t *testing.T) {
 	h := &countingHook{}
 	ctx := cancel.WithHook(context.Background(), h)
-	if err := ForEach(ctx, 64, 4, "s", func(*cancel.Checker, int) error { return nil }); err != nil {
+	if err := ForEach(WithWorkers(ctx, 4), 64, "s", func(*cancel.Checker, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.n.Load(); got < 64 {
@@ -120,29 +122,37 @@ func TestForEachFiresCheckpointPerJob(t *testing.T) {
 	}
 }
 
-func TestForEachCheckedForwardsContext(t *testing.T) {
-	ctx, cancelCtx := context.WithCancel(cancel.WithStride(context.Background(), 1))
-	cancelCtx()
-	chk := cancel.FromContext(ctx)
-	err := ForEachChecked(chk, 10, 4, "s", func(*cancel.Checker, int) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled through the forked checkers", err)
+func TestWidthConvention(t *testing.T) {
+	for _, c := range []struct{ in, want int }{{0, 1}, {1, 1}, {4, 4}, {-1, runtime.GOMAXPROCS(0)}} {
+		if got := Width(c.in); got != c.want {
+			t.Errorf("Width(%d) = %d, want %d", c.in, got, c.want)
+		}
 	}
-	// A nil checker forwards a nil context: runs everything, returns nil.
-	if err := ForEachChecked(nil, 10, 4, "s", func(*cancel.Checker, int) error { return nil }); err != nil {
-		t.Fatalf("nil checker: %v", err)
+	if got := Workers(context.Background()); got != 1 {
+		t.Fatalf("Workers(no width) = %d, want 1 (inline)", got)
+	}
+	if got := Workers(WithWorkers(context.Background(), -1)); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Workers(WithWorkers(-1)) = %d, want GOMAXPROCS", got)
 	}
 }
 
-func TestResolve(t *testing.T) {
-	if got := Resolve(4, 100); got != 4 {
-		t.Fatalf("Resolve(4,100) = %d", got)
-	}
-	if got := Resolve(8, 3); got != 3 {
-		t.Fatalf("Resolve(8,3) = %d, want capped at n", got)
-	}
-	if got := Resolve(0, 1000); got < 1 {
-		t.Fatalf("Resolve(0,·) = %d, want >= 1", got)
+// TestForEachWidthFromContext pins that the context's width alone decides
+// between the inline path and a fan-out, and that the fan-out never spawns
+// more workers than jobs.
+func TestForEachWidthFromContext(t *testing.T) {
+	nop := func(*cancel.Checker, int) error { return nil }
+	for _, c := range []struct{ width, n, fanouts, inline, spawned int }{
+		{1, 10, 0, 1, 0}, {4, 10, 1, 0, 4}, {4, 2, 1, 0, 2}, {4, 1, 0, 1, 0},
+	} {
+		m := obs.NewExecMetrics(obs.NewRegistry())
+		ctx := obs.WithExecMetrics(WithWorkers(context.Background(), c.width), m)
+		if err := ForEach(ctx, c.n, "s", nop); err != nil {
+			t.Fatal(err)
+		}
+		got := [3]uint64{m.Fanouts.Value(), m.InlineRuns.Value(), m.WorkersSpawned.Value()}
+		if want := [3]uint64{uint64(c.fanouts), uint64(c.inline), uint64(c.spawned)}; got != want {
+			t.Errorf("width %d, n %d: fanouts/inline/spawned = %v, want %v", c.width, c.n, got, want)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -26,6 +27,12 @@ import (
 	"repro/internal/rtree"
 	"repro/internal/whynot"
 )
+
+// bg runs the experiment queries: it can never be cancelled, so value may
+// drop their always-nil errors.
+var bg = context.Background()
+
+func value[T any](v T, _ error) T { return v }
 
 // Item aliases the R-tree item type.
 type Item = rtree.Item
@@ -100,23 +107,23 @@ func (s *Suite) RunQuality(store *whynot.ApproxStore) []QualityRow {
 	rows := make([]QualityRow, 0, len(s.Cases))
 	for i, qc := range s.Cases {
 		e := s.Engine
-		sr := e.SafeRegion(qc.Q, qc.RSL)
+		sr := value(e.SafeRegionCtx(bg, qc.Q, qc.RSL))
 
-		mwp := e.MWP(qc.WhyNot, qc.Q, opt).Best().Cost
+		mwp := value(e.MWPCtx(bg, qc.WhyNot, qc.Q, opt)).Best().Cost
 
-		mqpRes := e.MQP(qc.WhyNot, qc.Q, opt)
+		mqpRes := value(e.MQPCtx(bg, qc.WhyNot, qc.Q, opt))
 		mqp := math.Inf(1)
 		for _, cand := range mqpRes.Candidates {
-			if c := e.MQPTotalCost(qc.Q, cand.Point, qc.RSL, sr, opt); c < mqp {
+			if c := value(e.MQPTotalCostCtx(bg, qc.Q, cand.Point, qc.RSL, sr, opt)); c < mqp {
 				mqp = c
 			}
 		}
 
-		mwq := e.MWQ(qc.WhyNot, qc.Q, sr, opt).Cost
+		mwq := value(e.MWQCtx(bg, qc.WhyNot, qc.Q, sr, opt)).Cost
 
 		approx := math.NaN()
 		if store != nil {
-			approx = e.MWQApprox(qc.WhyNot, qc.Q, qc.RSL, store, opt).Cost
+			approx = value(e.MWQApproxCtx(bg, qc.WhyNot, qc.Q, qc.RSL, store, opt)).Cost
 		}
 		rows = append(rows, QualityRow{
 			Query: i + 1, RSLSize: len(qc.RSL),
@@ -137,24 +144,24 @@ func (s *Suite) RunTiming(store *whynot.ApproxStore) []TimingRow {
 		row.RSLSize = len(qc.RSL)
 
 		t0 := time.Now()
-		e.MWP(qc.WhyNot, qc.Q, opt)
+		e.MWPCtx(bg, qc.WhyNot, qc.Q, opt)
 		row.MWP = time.Since(t0)
 
 		t0 = time.Now()
-		e.MQP(qc.WhyNot, qc.Q, opt)
+		e.MQPCtx(bg, qc.WhyNot, qc.Q, opt)
 		row.MQP = time.Since(t0)
 
 		t0 = time.Now()
-		sr := e.SafeRegion(qc.Q, qc.RSL)
+		sr := value(e.SafeRegionCtx(bg, qc.Q, qc.RSL))
 		row.SR = time.Since(t0)
 
 		t0 = time.Now()
-		e.MWQ(qc.WhyNot, qc.Q, sr, opt)
+		e.MWQCtx(bg, qc.WhyNot, qc.Q, sr, opt)
 		row.MWQ = row.SR + time.Since(t0)
 
 		if store != nil {
 			t0 = time.Now()
-			e.MWQApprox(qc.WhyNot, qc.Q, qc.RSL, store, opt)
+			e.MWQApproxCtx(bg, qc.WhyNot, qc.Q, qc.RSL, store, opt)
 			row.ApproxMWQ = time.Since(t0)
 		}
 		rows = append(rows, row)
@@ -173,7 +180,7 @@ func (s *Suite) RunSafeRegionArea() []AreaRow {
 	}
 	rows := make([]AreaRow, 0, len(s.Cases))
 	for _, qc := range s.Cases {
-		sr := s.Engine.SafeRegion(qc.Q, qc.RSL)
+		sr := value(s.Engine.SafeRegionCtx(bg, qc.Q, qc.RSL))
 		// Clip to the universe so the fraction is comparable across queries
 		// (anti-DDR rectangles extend symmetrically beyond the data range).
 		a := sr.IntersectRect(universe).Area()
@@ -187,7 +194,7 @@ func (s *Suite) RunSafeRegionArea() []AreaRow {
 // customer (full offline precomputation) when full is true.
 func (s *Suite) BuildStore(k int, full bool) *whynot.ApproxStore {
 	if full {
-		return s.Engine.BuildApproxStore(s.Items, k, 0)
+		return value(s.Engine.BuildApproxStoreCtx(bg, s.Items, k, 0))
 	}
 	seen := map[int]bool{}
 	var needed []Item
@@ -199,7 +206,7 @@ func (s *Suite) BuildStore(k int, full bool) *whynot.ApproxStore {
 			}
 		}
 	}
-	return s.Engine.BuildApproxStore(needed, k, 0)
+	return value(s.Engine.BuildApproxStoreCtx(bg, needed, k, 0))
 }
 
 // ShapeChecks evaluates the qualitative claims of §VI against quality rows,

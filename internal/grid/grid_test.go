@@ -109,7 +109,7 @@ func TestGridWindowExistsMatchesRTree(t *testing.T) {
 		c := items[rng.Intn(len(items))]
 		q := items[rng.Intn(len(items))].Point.Clone()
 		q[0] *= 1 + 0.1*(rng.Float64()-0.5)
-		want := db.WindowExists(c.Point, q, c.ID)
+		want, _ := db.WindowExistsChecked(nil, c.Point, q, c.ID)
 		got := g.WindowExists(c.Point, q, c.ID)
 		if got != want {
 			t.Fatalf("trial %d: grid=%v rtree=%v (c=%v q=%v)", trial, got, want, c.Point, q)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/oracle"
 	"repro/internal/region"
@@ -155,21 +156,19 @@ func TestReverseSkylinePathsAgreeWithOracle(t *testing.T) {
 			q := f.queryPoint()
 			want := oracle.ReverseSkyline(f.products, f.customers, q)
 
-			sameIDs(t, "RSL direct", f.db.ReverseSkyline(f.customers, q), want)
-			sameIDs(t, "RSL filtered", f.db.ReverseSkylineFiltered(f.customers, q), want)
-
-			for _, workers := range []int{2, 4, 0} {
-				got, err := f.db.ReverseSkylineParallel(context.Background(), f.customers, q, workers)
+			for _, workers := range []int{1, 2, 4, -1} {
+				ctx := exec.WithWorkers(context.Background(), workers)
+				got, err := f.db.ReverseSkylineCtx(ctx, f.customers, q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameIDs(t, fmt.Sprintf("RSL parallel w=%d", workers), got, want)
+				sameIDs(t, fmt.Sprintf("RSL direct w=%d", workers), got, want)
 
-				got, err = f.db.ReverseSkylineFilteredParallel(context.Background(), f.customers, q, workers)
+				got, err = f.db.ReverseSkylineFilteredCtx(ctx, f.customers, q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameIDs(t, fmt.Sprintf("RSL filtered parallel w=%d", workers), got, want)
+				sameIDs(t, fmt.Sprintf("RSL filtered w=%d", workers), got, want)
 			}
 		}
 	})
@@ -183,12 +182,13 @@ func TestBBRSAgreesWithOracle(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			q := f.queryPoint()
 			want := oracle.ReverseSkyline(f.products, f.products, q)
-			sameIDs(t, "BBRS", f.db.ReverseSkylineBBRS(q), want)
-			got, err := f.db.ReverseSkylineBBRSParallel(context.Background(), q, 4)
-			if err != nil {
-				t.Fatal(err)
+			for _, workers := range []int{1, 4} {
+				got, err := f.db.ReverseSkylineBBRSCtx(exec.WithWorkers(context.Background(), workers), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameIDs(t, fmt.Sprintf("BBRS w=%d", workers), got, want)
 			}
-			sameIDs(t, "BBRS parallel", got, want)
 		}
 	})
 }
@@ -222,15 +222,23 @@ func TestSafeRegionMembershipAgreesWithOracle(t *testing.T) {
 				rsl = rsl[:cap]
 			}
 
-			seq := eng.SafeRegion(q, rsl)
-			par, err := eng.SafeRegionParallel(context.Background(), q, rsl, 4)
+			seq, err := eng.SafeRegionCtx(context.Background(), q, rsl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := eng.SafeRegionCtx(exec.WithWorkers(context.Background(), 4), q, rsl)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Warm the caches with a first construction, then use the cached
 			// result, which must still agree.
-			cachedEng.SafeRegion(q, rsl)
-			cached := cachedEng.SafeRegion(q, rsl)
+			if _, err := cachedEng.SafeRegionCtx(context.Background(), q, rsl); err != nil {
+				t.Fatal(err)
+			}
+			cached, err := cachedEng.SafeRegionCtx(context.Background(), q, rsl)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			if !region.Equivalent(seq, par) {
 				t.Fatalf("parallel safe region differs from sequential (q=%v, |rsl|=%d)", q, len(rsl))

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/rtree"
 )
@@ -129,12 +130,13 @@ func TestConcurrentParallelQueriesDuringMutation(t *testing.T) {
 		}
 	}()
 
+	ctx := exec.WithWorkers(context.Background(), 4)
 	for i := 0; i < 20; i++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		if _, err := db.ReverseSkylineParallel(context.Background(), base, q, 4); err != nil {
+		if _, err := db.ReverseSkylineCtx(ctx, base, q); err != nil {
 			t.Fatalf("parallel RSL: %v", err)
 		}
-		if _, err := db.ReverseSkylineBBRSParallel(context.Background(), q, 4); err != nil {
+		if _, err := db.ReverseSkylineBBRSCtx(ctx, q); err != nil {
 			t.Fatalf("parallel BBRS: %v", err)
 		}
 	}

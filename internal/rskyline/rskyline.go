@@ -176,18 +176,12 @@ func (db *DB) snapshotItems() []Item {
 	return db.tree.Items()
 }
 
-// WindowQuery returns Λ = window_query(c, q): every product inside the
-// closed box centred at c with per-dimension half-extent |c_i − q_i| that
+// WindowQueryChecked returns Λ = window_query(c, q): every product inside
+// the closed box centred at c with per-dimension half-extent |c_i − q_i| that
 // dynamically dominates q with respect to c. Products with ID == excludeID
 // are skipped (pass NoExclude to keep all), which implements the
 // monochromatic convention that a customer's own product record cannot
-// block it.
-func (db *DB) WindowQuery(c, q geom.Point, excludeID int) []Item {
-	out, _ := db.WindowQueryChecked(nil, c, q, excludeID)
-	return out
-}
-
-// WindowQueryChecked is WindowQuery with cooperative cancellation.
+// block it. A nil chk runs unchecked.
 func (db *DB) WindowQueryChecked(chk *cancel.Checker, c, q geom.Point, excludeID int) ([]Item, error) {
 	obs.AddWindowQueries(1)
 	db.treeMu.RLock()
@@ -210,14 +204,8 @@ func (db *DB) WindowQueryChecked(chk *cancel.Checker, c, q geom.Point, excludeID
 	return out, nil
 }
 
-// WindowExists reports whether window_query(c, q) is non-empty, stopping at
-// the first dominating product.
-func (db *DB) WindowExists(c, q geom.Point, excludeID int) bool {
-	found, _ := db.WindowExistsChecked(nil, c, q, excludeID)
-	return found
-}
-
-// WindowExistsChecked is WindowExists with cooperative cancellation.
+// WindowExistsChecked reports whether window_query(c, q) is non-empty,
+// stopping at the first dominating product.
 func (db *DB) WindowExistsChecked(chk *cancel.Checker, c, q geom.Point, excludeID int) (bool, error) {
 	obs.AddWindowQueries(1)
 	db.treeMu.RLock()
@@ -234,21 +222,15 @@ func (db *DB) WindowExistsChecked(chk *cancel.Checker, c, q geom.Point, excludeI
 	return found, err
 }
 
-// WindowFrontier returns the members of window_query(c, q) minimal under
-// dynamic dominance with respect to centre, without materialising Λ: a
+// WindowFrontierChecked returns the members of window_query(c, q) minimal
+// under dynamic dominance with respect to centre, without materialising Λ: a
 // branch-and-bound traversal ordered by transformed distance to centre prunes
 // every subtree already dominated by a found frontier member. centre is q for
 // Algorithm 1's frontier and c for Algorithm 2's. The result equals
-// filtering WindowQuery(c, q, excludeID) down to its dominance minima, but
-// touches only a fraction of the window when Λ is large.
-func (db *DB) WindowFrontier(c, q, centre geom.Point, excludeID int) []Item {
-	out, _ := db.WindowFrontierChecked(nil, c, q, centre, excludeID)
-	return out
-}
-
-// WindowFrontierChecked is WindowFrontier with cooperative cancellation at
-// node-visit granularity; a cancelled traversal returns the context's error
-// and no partial frontier.
+// filtering WindowQueryChecked(chk, c, q, excludeID) down to its dominance
+// minima, but touches only a fraction of the window when Λ is large.
+// Cancellation is checked at node-visit granularity; a cancelled traversal
+// returns the context's error and no partial frontier.
 func (db *DB) WindowFrontierChecked(chk *cancel.Checker, c, q, centre geom.Point, excludeID int) ([]Item, error) {
 	obs.AddWindowQueries(1)
 	dt := 0 // point-point tests only; the prune's box tests are not counted
@@ -372,96 +354,46 @@ func boxTransformSum(r geom.Rect, centre geom.Point) float64 {
 	return s
 }
 
-// IsReverseSkyline reports whether customer c belongs to RSL(q): the window
-// query centred at c.Point must find no dominating product other than c's
-// own record.
-func (db *DB) IsReverseSkyline(c Item, q geom.Point) bool {
-	return !db.WindowExists(c.Point, q, c.ID)
-}
-
-// IsReverseSkylineChecked is IsReverseSkyline with cooperative cancellation.
+// IsReverseSkylineChecked reports whether customer c belongs to RSL(q): the
+// window query centred at c.Point must find no dominating product other than
+// c's own record.
 func (db *DB) IsReverseSkylineChecked(chk *cancel.Checker, c Item, q geom.Point) (bool, error) {
 	found, err := db.WindowExistsChecked(chk, c.Point, q, c.ID)
 	return !found, err
 }
 
-// ReverseSkyline computes RSL(q) over the given customers by running the
+// The reverse-skyline variants below differ only in how they pick the
+// candidates; each verifies its candidates with one window-existence query
+// per customer through members, which fans the loop out over
+// exec.Workers(ctx) goroutines (inline at width 1) and returns the members in
+// candidate order at every width.
+
+// ReverseSkylineCtx computes RSL(q) over the given customers by running the
 // window-existence test for each customer. This is the direct §II method.
-func (db *DB) ReverseSkyline(customers []Item, q geom.Point) []Item {
-	out, _ := db.ReverseSkylineChecked(nil, customers, q)
-	return out
+func (db *DB) ReverseSkylineCtx(ctx context.Context, customers []Item, q geom.Point) ([]Item, error) {
+	return db.members(ctx, customers, q, nil)
 }
 
-// ReverseSkylineChecked is ReverseSkyline with a cancellation checkpoint per
-// customer (each customer costs one window-existence query).
-func (db *DB) ReverseSkylineChecked(chk *cancel.Checker, customers []Item, q geom.Point) ([]Item, error) {
-	var out []Item
-	for _, c := range customers {
-		if err := chk.Point(cancel.SiteCustomer); err != nil {
-			return nil, err
-		}
-		in, err := db.IsReverseSkylineChecked(chk, c, q)
-		if err != nil {
-			return nil, err
-		}
-		if in {
-			out = append(out, c)
-		}
-	}
-	return out, nil
-}
-
-// ReverseSkylineFiltered computes RSL(q) with the global-skyline candidate
+// ReverseSkylineFilteredCtx computes RSL(q) with the global-skyline candidate
 // filter: a customer globally dominated (w.r.t. q) by any product cannot be
 // in RSL(q), and it suffices to test against the global skyline of P. The
 // surviving candidates are verified with window-existence queries. The result
-// is identical to ReverseSkyline; only the work differs.
-func (db *DB) ReverseSkylineFiltered(customers []Item, q geom.Point) []Item {
-	out, _ := db.ReverseSkylineFilteredChecked(nil, customers, q)
-	return out
-}
-
-// ReverseSkylineFilteredChecked is ReverseSkylineFiltered with a cancellation
-// checkpoint per candidate customer.
-func (db *DB) ReverseSkylineFilteredChecked(chk *cancel.Checker, customers []Item, q geom.Point) ([]Item, error) {
-	if err := chk.Err(); err != nil {
-		return nil, err
-	}
+// is identical to ReverseSkylineCtx; only the work differs.
+func (db *DB) ReverseSkylineFilteredCtx(ctx context.Context, customers []Item, q geom.Point) ([]Item, error) {
 	gsp := skyline.GlobalSkyline(db.Items(), q)
-	var out []Item
-	dt := 0
-	gdPruned := 0 // customers eliminated by the global-dominance filter
-	defer func() {
-		obs.AddDominanceTests(dt)
-		obs.AddPruned(gdPruned)
-	}()
-	for _, c := range customers {
-		if err := chk.Point(cancel.SiteCustomer); err != nil {
-			return nil, err
-		}
-		pruned := false
+	return db.members(ctx, customers, q, func(c Item) bool {
+		dt := 0 // batched per customer: workers share the global counter
+		defer func() { obs.AddDominanceTests(dt) }()
 		for _, p := range gsp {
 			if p.ID != c.ID {
 				dt++
 				if skyline.GlobalDominates(q, p.Point, c.Point) {
-					pruned = true
-					break
+					return true
 				}
 			}
 		}
-		if pruned {
-			gdPruned++
-			continue
-		}
-		in, err := db.IsReverseSkylineChecked(chk, c, q)
-		if err != nil {
-			return nil, err
-		}
-		if in {
-			out = append(out, c)
-		}
-	}
-	return out, nil
+		return false
+	})
 }
 
 // ReverseSkylineMono computes RSL(q) in the monochromatic setting where the
@@ -470,46 +402,62 @@ func (db *DB) ReverseSkylineFilteredChecked(chk *cancel.Checker, customers []Ite
 // dominated by any product, the candidates are exactly the global skyline of
 // the dataset, so only |GSP| window queries run instead of |P|.
 func (db *DB) ReverseSkylineMono(q geom.Point) []Item {
-	var out []Item
-	for _, c := range skyline.GlobalSkyline(db.Items(), q) {
-		if db.IsReverseSkyline(c, q) {
-			out = append(out, c)
-		}
-	}
+	out, _ := db.members(context.Background(), skyline.GlobalSkyline(db.Items(), q), q, nil)
 	return out
 }
 
-// ReverseSkylineBBRS computes RSL(q) in the monochromatic setting with the
+// ReverseSkylineBBRSCtx computes RSL(q) in the monochromatic setting with the
 // full index-based BBRS pipeline (Dellis & Seeger, VLDB 2007): the global
 // skyline candidates come from a branch-and-bound traversal of the R*-tree
 // (touching only the index fraction that can contain candidates) and each
 // candidate is verified with an existence window query. Identical results to
-// ReverseSkylineMono.
-func (db *DB) ReverseSkylineBBRS(q geom.Point) []Item {
-	out, _ := db.ReverseSkylineBBRSChecked(nil, q)
-	return out
-}
-
-// ReverseSkylineBBRSChecked is ReverseSkylineBBRS with cooperative
-// cancellation in both the candidate traversal and the per-candidate
-// verification loop.
-func (db *DB) ReverseSkylineBBRSChecked(chk *cancel.Checker, q geom.Point) ([]Item, error) {
-	cands, err := db.globalSkylineBBS(chk, q)
+// ReverseSkylineMono. The candidate traversal runs on the calling goroutine
+// (it is a small, inherently ordered fraction of the work); only the
+// verification fans out.
+func (db *DB) ReverseSkylineBBRSCtx(ctx context.Context, q geom.Point) ([]Item, error) {
+	cands, err := db.globalSkylineBBS(cancel.FromContext(ctx), q)
 	if err != nil {
 		return nil, err
 	}
-	var out []Item
-	for _, c := range cands {
-		if err := chk.Point(cancel.SiteCustomer); err != nil {
-			return nil, err
+	return db.members(ctx, cands, q, nil)
+}
+
+// members is the per-customer loop shared by the reverse-skyline variants:
+// one window-existence test per candidate, through exec.ForEach. pruned, when
+// non-nil, is a cheap filter run first in each job; a candidate it rejects
+// skips the window query and counts toward the pruned-entries cost counter.
+// Membership lands in per-index slots, so the output is in candidate order
+// at every width.
+func (db *DB) members(ctx context.Context, cands []Item, q geom.Point, pruned func(Item) bool) ([]Item, error) {
+	const (
+		isMember = 1
+		isPruned = 2
+	)
+	state := make([]uint8, len(cands))
+	err := exec.ForEach(ctx, len(cands), cancel.SiteCustomer, func(chk *cancel.Checker, i int) error {
+		if pruned != nil && pruned(cands[i]) {
+			state[i] = isPruned
+			return nil
 		}
-		in, err := db.IsReverseSkylineChecked(chk, c, q)
-		if err != nil {
-			return nil, err
-		}
+		in, err := db.IsReverseSkylineChecked(chk, cands[i], q)
 		if in {
-			out = append(out, c)
+			state[i] = isMember
 		}
+		return err
+	})
+	var out []Item
+	nPruned := 0
+	for i, st := range state {
+		switch st {
+		case isMember:
+			out = append(out, cands[i])
+		case isPruned:
+			nPruned++
+		}
+	}
+	obs.AddPruned(nPruned)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -521,14 +469,8 @@ func (db *DB) globalSkylineBBS(chk *cancel.Checker, q geom.Point) ([]Item, error
 	return skyline.GlobalSkylineBBSChecked(chk, db.tree, q)
 }
 
-// DynamicSkyline computes DSL(c) over the products via branch-and-bound on
-// the R*-tree.
-func (db *DB) DynamicSkyline(c geom.Point) []Item {
-	out, _ := db.DynamicSkylineChecked(nil, c)
-	return out
-}
-
-// DynamicSkylineChecked is DynamicSkyline with cooperative cancellation.
+// DynamicSkylineChecked computes DSL(c) over the products via
+// branch-and-bound on the R*-tree.
 func (db *DB) DynamicSkylineChecked(chk *cancel.Checker, c geom.Point) ([]Item, error) {
 	obs.AddDSLComputations(1)
 	db.treeMu.RLock()
@@ -582,110 +524,4 @@ func (db *DB) DynamicSkylineOfChecked(chk *cancel.Checker, c Item, excludeID int
 	// the traversal the entry is already stale and will never be served.
 	db.dsl.Put(c.ID, dslEntry{point: c.Point.Clone(), exclude: excludeID, gen: gen, items: out})
 	return out, nil
-}
-
-// --- Parallel reverse-skyline variants --------------------------------------
-//
-// Each variant fans the per-customer verification loop of its sequential
-// counterpart out over an internal/exec worker pool and returns an identical,
-// deterministically ordered result: membership flags land in per-index slots
-// and the output is assembled in input order afterwards. workers <= 1 runs
-// the sequential code path unchanged.
-
-// ReverseSkylineParallel is ReverseSkyline with the per-customer window
-// queries fanned out over workers goroutines (0 = GOMAXPROCS).
-func (db *DB) ReverseSkylineParallel(ctx context.Context, customers []Item, q geom.Point, workers int) ([]Item, error) {
-	if exec.Resolve(workers, len(customers)) == 1 {
-		return db.ReverseSkylineChecked(cancel.FromContext(ctx), customers, q)
-	}
-	in := make([]bool, len(customers))
-	err := exec.ForEach(ctx, len(customers), workers, cancel.SiteCustomer, func(chk *cancel.Checker, i int) error {
-		member, err := db.IsReverseSkylineChecked(chk, customers[i], q)
-		in[i] = member
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return selectMembers(customers, in), nil
-}
-
-// ReverseSkylineFilteredParallel is ReverseSkylineFiltered with the
-// per-candidate verification fanned out over workers goroutines.
-func (db *DB) ReverseSkylineFilteredParallel(ctx context.Context, customers []Item, q geom.Point, workers int) ([]Item, error) {
-	if exec.Resolve(workers, len(customers)) == 1 {
-		return db.ReverseSkylineFilteredChecked(cancel.FromContext(ctx), customers, q)
-	}
-	gsp := skyline.GlobalSkyline(db.Items(), q)
-	in := make([]bool, len(customers))
-	err := exec.ForEach(ctx, len(customers), workers, cancel.SiteCustomer, func(chk *cancel.Checker, i int) error {
-		c := customers[i]
-		dt := 0 // batched per job: workers share the global counter
-		for _, p := range gsp {
-			if p.ID != c.ID {
-				dt++
-				if skyline.GlobalDominates(q, p.Point, c.Point) {
-					obs.AddDominanceTests(dt)
-					return nil // pruned: cannot be a reverse-skyline member
-				}
-			}
-		}
-		obs.AddDominanceTests(dt)
-		member, err := db.IsReverseSkylineChecked(chk, c, q)
-		in[i] = member
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return selectMembers(customers, in), nil
-}
-
-// ReverseSkylineBBRSParallel is ReverseSkylineBBRS with the per-candidate
-// verification fanned out over workers goroutines; the branch-and-bound
-// candidate traversal itself stays sequential (it is a tiny fraction of the
-// work and inherently ordered).
-func (db *DB) ReverseSkylineBBRSParallel(ctx context.Context, q geom.Point, workers int) ([]Item, error) {
-	chk := cancel.FromContext(ctx)
-	cands, err := db.globalSkylineBBS(chk, q)
-	if err != nil {
-		return nil, err
-	}
-	if exec.Resolve(workers, len(cands)) == 1 {
-		var out []Item
-		for _, c := range cands {
-			if err := chk.Point(cancel.SiteCustomer); err != nil {
-				return nil, err
-			}
-			in, err := db.IsReverseSkylineChecked(chk, c, q)
-			if err != nil {
-				return nil, err
-			}
-			if in {
-				out = append(out, c)
-			}
-		}
-		return out, nil
-	}
-	in := make([]bool, len(cands))
-	err = exec.ForEach(ctx, len(cands), workers, cancel.SiteCustomer, func(chk *cancel.Checker, i int) error {
-		member, err := db.IsReverseSkylineChecked(chk, cands[i], q)
-		in[i] = member
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return selectMembers(cands, in), nil
-}
-
-// selectMembers assembles the positionally flagged members in input order.
-func selectMembers(customers []Item, in []bool) []Item {
-	var out []Item
-	for i, ok := range in {
-		if ok {
-			out = append(out, customers[i])
-		}
-	}
-	return out
 }

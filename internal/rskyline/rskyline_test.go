@@ -1,6 +1,7 @@
 package rskyline
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -25,6 +26,15 @@ func fig1() []Item {
 var paperQ = geom.NewPoint(8.5, 55)
 
 func fig1DB() *DB { return NewDB(2, fig1(), rtree.Config{}) }
+
+// must unwraps an unchecked query: with a nil checker or a background
+// context no query can fail, so an error here is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func ids(items []Item) []int {
 	out := make([]int, len(items))
@@ -51,11 +61,11 @@ func equalInts(a, b []int) bool {
 func TestWindowQueryC1(t *testing.T) {
 	db := fig1DB()
 	c1 := geom.NewPoint(5, 30)
-	got := db.WindowQuery(c1, paperQ, 1)
+	got := must(db.WindowQueryChecked(nil, c1, paperQ, 1))
 	if !equalInts(ids(got), []int{2}) {
 		t.Fatalf("window_query(c1, q) = %v, want [2]", ids(got))
 	}
-	if !db.WindowExists(c1, paperQ, 1) {
+	if !must(db.WindowExistsChecked(nil, c1, paperQ, 1)) {
 		t.Fatal("WindowExists must agree")
 	}
 }
@@ -64,13 +74,13 @@ func TestWindowQueryC1(t *testing.T) {
 func TestWindowQueryC2(t *testing.T) {
 	db := fig1DB()
 	c2 := geom.NewPoint(7.5, 42)
-	if got := db.WindowQuery(c2, paperQ, 2); len(got) != 0 {
+	if got := must(db.WindowQueryChecked(nil, c2, paperQ, 2)); len(got) != 0 {
 		t.Fatalf("window_query(c2, q) = %v, want empty", ids(got))
 	}
-	if db.WindowExists(c2, paperQ, 2) {
+	if must(db.WindowExistsChecked(nil, c2, paperQ, 2)) {
 		t.Fatal("WindowExists must agree")
 	}
-	if !db.IsReverseSkyline(Item{ID: 2, Point: c2}, paperQ) {
+	if !must(db.IsReverseSkylineChecked(nil, Item{ID: 2, Point: c2}, paperQ)) {
 		t.Fatal("c2 must be in RSL(q) (paper Fig. 4a)")
 	}
 }
@@ -80,12 +90,12 @@ func TestWindowQueryC2(t *testing.T) {
 func TestReverseSkylinePaperExample(t *testing.T) {
 	db := fig1DB()
 	customers := fig1()
-	got := db.ReverseSkyline(customers, paperQ)
+	got := must(db.ReverseSkylineCtx(context.Background(), customers, paperQ))
 	want := []int{2, 3, 4, 6, 8}
 	if !equalInts(ids(got), want) {
 		t.Fatalf("RSL(q) = %v, want %v", ids(got), want)
 	}
-	filtered := db.ReverseSkylineFiltered(customers, paperQ)
+	filtered := must(db.ReverseSkylineFilteredCtx(context.Background(), customers, paperQ))
 	if !equalInts(ids(filtered), want) {
 		t.Fatalf("filtered RSL(q) = %v, want %v", ids(filtered), want)
 	}
@@ -135,11 +145,11 @@ func TestReverseSkylineMatchesBruteRandom(t *testing.T) {
 				}
 			}
 			sort.Ints(want)
-			got := ids(db.ReverseSkyline(products, q))
+			got := ids(must(db.ReverseSkylineCtx(context.Background(), products, q)))
 			if !equalInts(got, want) {
 				t.Fatalf("dims=%d seed=%d: RSL mismatch got=%v want=%v", dims, seed, got, want)
 			}
-			gotF := ids(db.ReverseSkylineFiltered(products, q))
+			gotF := ids(must(db.ReverseSkylineFilteredCtx(context.Background(), products, q)))
 			if !equalInts(gotF, want) {
 				t.Fatalf("dims=%d seed=%d: filtered RSL mismatch got=%v want=%v", dims, seed, gotF, want)
 			}
@@ -163,10 +173,10 @@ func TestBichromaticReverseSkyline(t *testing.T) {
 		}
 	}
 	sort.Ints(want)
-	if got := ids(db.ReverseSkyline(customers, q)); !equalInts(got, want) {
+	if got := ids(must(db.ReverseSkylineCtx(context.Background(), customers, q))); !equalInts(got, want) {
 		t.Fatalf("bichromatic RSL got=%v want=%v", got, want)
 	}
-	if got := ids(db.ReverseSkylineFiltered(customers, q)); !equalInts(got, want) {
+	if got := ids(must(db.ReverseSkylineFilteredCtx(context.Background(), customers, q))); !equalInts(got, want) {
 		t.Fatalf("bichromatic filtered RSL got=%v want=%v", got, want)
 	}
 }
@@ -184,7 +194,7 @@ func TestDynamicSkylineExcluding(t *testing.T) {
 	if !equalInts(all, []int{2}) {
 		t.Fatalf("DSL(c2) without exclusion = %v, want [2]", all)
 	}
-	if bbs := ids(db.DynamicSkyline(c2)); !equalInts(bbs, []int{2}) {
+	if bbs := ids(must(db.DynamicSkylineChecked(nil, c2))); !equalInts(bbs, []int{2}) {
 		t.Fatalf("BBS DSL(c2) = %v, want [2]", bbs)
 	}
 }
@@ -197,7 +207,7 @@ func TestRSLMembershipEquivalence(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 		c := products[rng.Intn(len(products))]
-		got := db.IsReverseSkyline(c, q)
+		got := must(db.IsReverseSkylineChecked(nil, c, q))
 		// q ∈ DSL(c) iff nothing in P\{c} dynamically dominates q w.r.t. c.
 		want := bruteIsRSL(products, c, q)
 		if got != want {
@@ -212,7 +222,7 @@ func TestQueryAtCustomerLocation(t *testing.T) {
 	products := randItems(100, 2, 11)
 	db := NewDB(2, products, rtree.Config{})
 	c := products[3]
-	if !db.IsReverseSkyline(c, c.Point) {
+	if !must(db.IsReverseSkylineChecked(nil, c, c.Point)) {
 		t.Fatal("customer must be in RSL of a product placed exactly at it")
 	}
 }
@@ -244,7 +254,7 @@ func TestLemma1DeletionIncludesWhyNot(t *testing.T) {
 	for trial := 0; trial < 40 && checked < 10; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 		c := products[rng.Intn(len(products))]
-		lambda := db.WindowQuery(c.Point, q, c.ID)
+		lambda := must(db.WindowQueryChecked(nil, c.Point, q, c.ID))
 		if len(lambda) == 0 {
 			continue // already in RSL
 		}
@@ -254,7 +264,7 @@ func TestLemma1DeletionIncludesWhyNot(t *testing.T) {
 				t.Fatalf("failed to delete %v", p)
 			}
 		}
-		if !db.IsReverseSkyline(c, q) {
+		if !must(db.IsReverseSkylineChecked(nil, c, q)) {
 			t.Fatalf("Lemma 1 violated: c=%v q=%v still outside RSL after deleting Λ", c, q)
 		}
 		for _, p := range lambda {
@@ -273,11 +283,11 @@ func TestReverseSkylineBBRSMatchesMono(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 		want := ids(db.ReverseSkylineMono(q))
-		got := ids(db.ReverseSkylineBBRS(q))
+		got := ids(must(db.ReverseSkylineBBRSCtx(context.Background(), q)))
 		if !equalInts(got, want) {
 			t.Fatalf("trial %d: BBRS=%v mono=%v", trial, got, want)
 		}
-		plain := ids(db.ReverseSkyline(products, q))
+		plain := ids(must(db.ReverseSkylineCtx(context.Background(), products, q)))
 		if !equalInts(got, plain) {
 			t.Fatalf("trial %d: BBRS=%v plain=%v", trial, got, plain)
 		}
@@ -290,7 +300,7 @@ func TestReverseSkylinePaperExampleAllVariants(t *testing.T) {
 	if got := ids(db.ReverseSkylineMono(paperQ)); !equalInts(got, want) {
 		t.Fatalf("mono RSL = %v", got)
 	}
-	if got := ids(db.ReverseSkylineBBRS(paperQ)); !equalInts(got, want) {
+	if got := ids(must(db.ReverseSkylineBBRSCtx(context.Background(), paperQ))); !equalInts(got, want) {
 		t.Fatalf("BBRS RSL = %v", got)
 	}
 }
@@ -333,7 +343,7 @@ func TestConcurrentReadsRaceFree(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				c := products[rng.Intn(len(products))]
 				q := products[rng.Intn(len(products))].Point
-				db.WindowExists(c.Point, q, c.ID)
+				must(db.WindowExistsChecked(nil, c.Point, q, c.ID))
 				db.DynamicSkylineExcluding(c.Point, c.ID)
 				if i%10 == 0 {
 					db.ReverseSkylineMono(q)
@@ -356,7 +366,7 @@ func TestWindowFrontierMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		c := products[rng.Intn(len(products))]
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		lambda := db.WindowQuery(c.Point, q, c.ID)
+		lambda := must(db.WindowQueryChecked(nil, c.Point, q, c.ID))
 		if len(lambda) == 0 {
 			continue
 		}
@@ -376,7 +386,7 @@ func TestWindowFrontierMatchesOracle(t *testing.T) {
 				}
 			}
 			sort.Ints(want)
-			got := ids(db.WindowFrontier(c.Point, q, centre, c.ID))
+			got := ids(must(db.WindowFrontierChecked(nil, c.Point, q, centre, c.ID)))
 			if !equalInts(got, want) {
 				t.Fatalf("trial %d centre=%v: frontier %v, want %v", trial, centre, got, want)
 			}
@@ -390,7 +400,7 @@ func TestWindowFrontierMatchesOracle(t *testing.T) {
 func TestWindowFrontierEmpty(t *testing.T) {
 	db := fig1DB()
 	c2 := geom.NewPoint(7.5, 42)
-	if got := db.WindowFrontier(c2, paperQ, paperQ, 2); len(got) != 0 {
+	if got := must(db.WindowFrontierChecked(nil, c2, paperQ, paperQ, 2)); len(got) != 0 {
 		t.Fatalf("frontier of an empty window = %v", got)
 	}
 }

@@ -49,8 +49,10 @@ import (
 type Config struct {
 	// Dataset is the boot dataset.
 	Dataset DatasetSpec
-	// Workers is the engine parallelism per query (repro convention:
-	// 0 → sequential, <0 → GOMAXPROCS).
+	// Workers is the per-query fan-out width of the reverse skyline and
+	// store build, passed straight to repro.DBOptions.Parallelism (0 or 1
+	// sequential, n > 1 n goroutines, < 0 GOMAXPROCS). The why-not ladder
+	// always runs on the request goroutine (see internal/engine).
 	Workers int
 	// CacheSize bounds the per-customer memoisation caches (0 = off).
 	CacheSize int
@@ -574,7 +576,6 @@ func (s *Server) handleWhyNot(w http.ResponseWriter, r *http.Request) {
 		Timeout: s.cfg.RungTimeout,
 		Degrade: true,
 		Store:   snap.Store,
-		Workers: snap.DB.Workers(),
 		Metrics: s.engMetrics,
 		Gate:    s.breakers,
 	})

@@ -1,9 +1,11 @@
 package whynot
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/rskyline"
 	"repro/internal/rtree"
@@ -17,7 +19,7 @@ func TestMWQBatchMatchesSingles(t *testing.T) {
 	var rsl []Item
 	for trial := 0; trial < 40; trial++ {
 		q = geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl = e.DB.ReverseSkyline(products, q)
+		rsl = must(e.DB.ReverseSkylineCtx(context.Background(), products, q))
 		if len(rsl) >= 1 && len(rsl) <= 8 {
 			break
 		}
@@ -28,21 +30,21 @@ func TestMWQBatchMatchesSingles(t *testing.T) {
 	}
 	var cts []Item
 	for _, c := range products {
-		if e.DB.WindowExists(c.Point, q, c.ID) {
+		if must(e.DB.WindowExistsChecked(nil, c.Point, q, c.ID)) {
 			cts = append(cts, c)
 		}
 		if len(cts) == 12 {
 			break
 		}
 	}
-	sr := e.SafeRegion(q, rsl)
-	batch := e.MWQBatch(cts, q, rsl, Options{})
-	parallel := e.MWQBatchParallel(cts, q, sr, Options{}, 4)
+	sr := must(e.SafeRegionCtx(context.Background(), q, rsl))
+	batch := must(e.MWQBatchCtx(context.Background(), cts, q, rsl, Options{}))
+	parallel := must(e.MWQBatchCtx(exec.WithWorkers(context.Background(), 4), cts, q, rsl, Options{}))
 	if len(batch) != len(cts) || len(parallel) != len(cts) {
 		t.Fatalf("batch sizes: %d / %d for %d customers", len(batch), len(parallel), len(cts))
 	}
 	for i, ct := range cts {
-		single := e.MWQ(ct, q, sr, Options{})
+		single := must(e.MWQCtx(context.Background(), ct, q, sr, Options{}))
 		if batch[i].Cost != single.Cost || batch[i].Case != single.Case {
 			t.Fatalf("batch[%d] diverges from single: %v/%v vs %v/%v",
 				i, batch[i].Cost, batch[i].Case, single.Cost, single.Case)
@@ -55,7 +57,7 @@ func TestMWQBatchMatchesSingles(t *testing.T) {
 		}
 	}
 	// Empty batch is fine.
-	if got := e.MWQBatchParallel(nil, q, sr, Options{}, 0); len(got) != 0 {
+	if got := must(e.MWQBatchCtx(exec.WithWorkers(context.Background(), 4), nil, q, rsl, Options{})); len(got) != 0 {
 		t.Fatal("empty batch should yield empty results")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/region"
 	"repro/internal/rskyline"
@@ -30,7 +31,7 @@ func TestConcurrentSafeRegionDuringMutation(t *testing.T) {
 	var rsl []Item
 	for trial := 0; trial < 50; trial++ {
 		cand := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		if r := db.ReverseSkyline(products, cand); len(r) >= 2 && len(r) <= 8 {
+		if r := must(db.ReverseSkylineCtx(context.Background(), products, cand)); len(r) >= 2 && len(r) <= 8 {
 			q, rsl = cand, r
 			break
 		}
@@ -67,22 +68,17 @@ func TestConcurrentSafeRegionDuringMutation(t *testing.T) {
 			defer readers.Done()
 			for i := 0; i < 40; i++ {
 				g1 := db.Generation()
-				var got region.Set
-				var err error
-				if i%2 == 0 {
-					got = e.SafeRegion(q, rsl)
-				} else {
-					got, err = e.SafeRegionParallel(context.Background(), q, rsl, 3)
-					if err != nil {
-						t.Errorf("reader %d: %v", r, err)
-						return
-					}
+				width := 1 + 2*(i%2) // alternate the inline and fanned-out loops
+				got, err := e.SafeRegionCtx(exec.WithWorkers(context.Background(), width), q, rsl)
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
 				}
 				// Quiescence witness: with no overlapping mutation, the cached
 				// answer must match an engine without the anti-DDR cache (the
 				// shared DSL cache is generation-validated and witnessed
 				// separately in the rskyline concurrency suite).
-				fresh := NewEngine(db, true).SafeRegion(q, rsl)
+				fresh := must(NewEngine(db, true).SafeRegionCtx(context.Background(), q, rsl))
 				if db.Generation() != g1 {
 					continue
 				}
@@ -100,8 +96,8 @@ func TestConcurrentSafeRegionDuringMutation(t *testing.T) {
 
 	// Post-quiescence: the caches warmed under churn must now agree with a
 	// cache-free engine, and the caches must have actually been exercised.
-	got := e.SafeRegion(q, rsl)
-	fresh := NewEngine(db, true).SafeRegion(q, rsl)
+	got := must(e.SafeRegionCtx(context.Background(), q, rsl))
+	fresh := must(NewEngine(db, true).SafeRegionCtx(context.Background(), q, rsl))
 	if !region.Equivalent(got, fresh) {
 		t.Fatal("post-quiescence: cached safe region differs from fresh construction")
 	}

@@ -2,6 +2,7 @@ package whynot
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ func FuzzLoadApproxStore(f *testing.F) {
 	// Seed with a real store plus truncations and mutations of it.
 	products := randProducts(40, 77)
 	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
-	store := e.BuildApproxStore(products[:10], 3, 0)
+	store := must(e.BuildApproxStoreCtx(context.Background(), products[:10], 3, 0))
 	var buf bytes.Buffer
 	if err := store.Save(&buf); err != nil {
 		f.Fatal(err)
@@ -86,7 +87,7 @@ func FuzzMWPMQP(f *testing.F) {
 		e := fuzzEngine
 		q := geom.NewPoint(qx, qy)
 		ct := Item{ID: 999999, Point: geom.NewPoint(cx, cy)} // bichromatic: no exclusion hit
-		mwp := e.MWP(ct, q, Options{})
+		mwp := must(e.MWPCtx(context.Background(), ct, q, Options{}))
 		if len(mwp.Candidates) == 0 {
 			t.Fatal("MWP returned no candidates")
 		}
@@ -94,11 +95,11 @@ func FuzzMWPMQP(f *testing.F) {
 			if cand.Cost < 0 || math.IsNaN(cand.Cost) {
 				t.Fatalf("MWP cost %v", cand.Cost)
 			}
-			if !mwp.AlreadyMember && !e.ValidateWhyNotMove(ct, q, cand.Point, 1e-7) {
+			if !mwp.AlreadyMember && !must(e.ValidateWhyNotMoveCtx(context.Background(), ct, q, cand.Point, 1e-7)) {
 				t.Fatalf("invalid MWP candidate %v (ct=%v q=%v)", cand.Point, ct.Point, q)
 			}
 		}
-		mqp := e.MQP(ct, q, Options{})
+		mqp := must(e.MQPCtx(context.Background(), ct, q, Options{}))
 		if len(mqp.Candidates) == 0 {
 			t.Fatal("MQP returned no candidates")
 		}
@@ -106,7 +107,7 @@ func FuzzMWPMQP(f *testing.F) {
 			if cand.Cost < 0 || math.IsNaN(cand.Cost) {
 				t.Fatalf("MQP cost %v", cand.Cost)
 			}
-			if !mqp.AlreadyMember && !e.ValidateQueryMove(ct, cand.Point, 1e-7) {
+			if !mqp.AlreadyMember && !must(e.ValidateQueryMoveCtx(context.Background(), ct, cand.Point, 1e-7)) {
 				t.Fatalf("invalid MQP candidate %v (ct=%v q=%v)", cand.Point, ct.Point, q)
 			}
 		}

@@ -1,6 +1,7 @@
 package whynot
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -31,8 +32,8 @@ func TestAntiDDR3DMatchesMembership(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		q := geom.NewPoint(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
 		c := items[rng.Intn(len(items))]
-		add := e.AntiDDROf(c)
-		inRSL := e.DB.IsReverseSkyline(c, q)
+		add := must(e.AntiDDROfCtx(context.Background(), c))
+		inRSL := must(e.DB.IsReverseSkylineChecked(nil, c, q))
 		if inRSL != add.Contains(q) {
 			t.Fatalf("trial %d: membership %v but anti-DDR contains %v (c=%v q=%v)",
 				trial, inRSL, add.Contains(q), c.Point, q)
@@ -52,12 +53,12 @@ func TestSafeRegion3DPreservesRSL(t *testing.T) {
 	tested := 0
 	for trial := 0; trial < 40 && tested < 3; trial++ {
 		q := geom.NewPoint(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
-		rsl := e.DB.ReverseSkyline(items, q)
+		rsl := must(e.DB.ReverseSkylineCtx(context.Background(), items, q))
 		if len(rsl) < 1 || len(rsl) > 5 {
 			continue
 		}
 		tested++
-		sr := e.SafeRegion(q, rsl)
+		sr := must(e.SafeRegionCtx(context.Background(), q, rsl))
 		if !sr.Contains(q) {
 			t.Fatal("3-d safe region must contain q")
 		}
@@ -67,7 +68,7 @@ func TestSafeRegion3DPreservesRSL(t *testing.T) {
 			}
 			p := r.Center()
 			for _, c := range rsl {
-				if e.DB.WindowExists(c.Point, p, c.ID) {
+				if must(e.DB.WindowExistsChecked(nil, c.Point, p, c.ID)) {
 					t.Fatalf("3-d safe region loses customer %d at %v", c.ID, p)
 				}
 			}
@@ -86,31 +87,31 @@ func TestMWQ3DSoundness(t *testing.T) {
 	tested := 0
 	for trial := 0; trial < 60 && tested < 3; trial++ {
 		q := geom.NewPoint(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
-		rsl := e.DB.ReverseSkyline(items, q)
+		rsl := must(e.DB.ReverseSkylineCtx(context.Background(), items, q))
 		if len(rsl) < 1 || len(rsl) > 4 {
 			continue
 		}
 		ct := items[rng.Intn(len(items))]
-		if !e.DB.WindowExists(ct.Point, q, ct.ID) {
+		if !must(e.DB.WindowExistsChecked(nil, ct.Point, q, ct.ID)) {
 			continue
 		}
 		tested++
-		res := e.MWQExact(ct, q, rsl, Options{})
+		res := must(e.MWQExactCtx(context.Background(), ct, q, rsl, Options{}))
 		qn := res.SafeRegion.InteriorNudge(res.QStar, 1e-9)
 		if res.Case == CaseOverlap {
 			qn = res.Overlap.InteriorNudge(res.QStar, 1e-9)
-			if e.DB.WindowExists(ct.Point, qn, ct.ID) {
+			if must(e.DB.WindowExistsChecked(nil, ct.Point, qn, ct.ID)) {
 				t.Fatalf("3-d C1 answer does not admit ct")
 			}
-		} else if !e.ValidateWhyNotMove(ct, res.QStar, res.CtStar, 1e-7) {
+		} else if !must(e.ValidateWhyNotMoveCtx(context.Background(), ct, res.QStar, res.CtStar, 1e-7)) {
 			t.Fatalf("3-d C2 answer invalid: ct*=%v q*=%v", res.CtStar, res.QStar)
 		}
 		for _, c := range rsl {
-			if e.DB.WindowExists(c.Point, qn, c.ID) {
+			if must(e.DB.WindowExistsChecked(nil, c.Point, qn, c.ID)) {
 				t.Fatalf("3-d MWQ loses customer %d", c.ID)
 			}
 		}
-		mwp := e.MWP(ct, q, Options{})
+		mwp := must(e.MWPCtx(context.Background(), ct, q, Options{}))
 		if res.Cost > mwp.Best().Cost+1e-9 {
 			t.Fatalf("3-d MWQ cost %v > MWP %v", res.Cost, mwp.Best().Cost)
 		}

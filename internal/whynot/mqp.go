@@ -26,18 +26,12 @@ type MQPResult struct {
 // Best returns the cheapest candidate.
 func (r MQPResult) Best() Candidate { return r.Candidates[0] }
 
-// MQP implements Algorithm 2 (Modify Query Point): candidate locations q* of
-// minimal movement such that the why-not point c_t enters RSL(q*). q* is
+// MQPCtx implements Algorithm 2 (Modify Query Point): candidate locations q*
+// of minimal movement such that the why-not point c_t enters RSL(q*). q* is
 // moved onto the dynamic-skyline frontier of c_t. The merging of Eqns.
 // (5)–(6) is performed in the space transformed around c_t and candidates are
 // mapped back to the original space on q's side of c_t, which reproduces the
 // paper's example exactly and remains correct when products surround c_t.
-func (e *Engine) MQP(ct Item, q geom.Point, opt Options) MQPResult {
-	res, _ := e.mqp(nil, ct, q, opt)
-	return res
-}
-
-// MQPCtx is MQP with deadline/cancellation support.
 func (e *Engine) MQPCtx(ctx context.Context, ct Item, q geom.Point, opt Options) (MQPResult, error) {
 	chk, err := entry(ctx)
 	if err != nil {
@@ -45,10 +39,6 @@ func (e *Engine) MQPCtx(ctx context.Context, ct Item, q geom.Point, opt Options)
 	}
 	_, endPhase := obs.StartPhase(ctx, "mqp")
 	defer endPhase()
-	return e.mqp(chk, ct, q, opt)
-}
-
-func (e *Engine) mqp(chk *cancel.Checker, ct Item, q geom.Point, opt Options) (MQPResult, error) {
 	frontier, err := e.DB.WindowFrontierChecked(chk, ct.Point, q, ct.Point, e.exclude(ct))
 	if err != nil {
 		return MQPResult{}, err
@@ -160,16 +150,10 @@ func minimalCanonical(pts []geom.Point) []geom.Point {
 	return out
 }
 
-// ValidateQueryMove reports whether moving the query point to cand admits
-// c_t into RSL(cand) after an ε-contraction toward c_t in the transformed
-// space (candidates lie on the closed dynamic-skyline boundary of c_t).
-func (e *Engine) ValidateQueryMove(ct Item, cand geom.Point, eps float64) bool {
-	nudged := nudgeToward(cand, ct.Point, eps)
-	return !e.DB.WindowExists(ct.Point, nudged, e.exclude(ct))
-}
-
-// ValidateQueryMoveCtx is ValidateQueryMove with deadline/cancellation
-// support.
+// ValidateQueryMoveCtx reports whether moving the query point to cand
+// admits c_t into RSL(cand) after an ε-contraction toward c_t in the
+// transformed space (candidates lie on the closed dynamic-skyline boundary
+// of c_t).
 func (e *Engine) ValidateQueryMoveCtx(ctx context.Context, ct Item, cand geom.Point, eps float64) (bool, error) {
 	chk, err := entry(ctx)
 	if err != nil {
@@ -183,29 +167,18 @@ func (e *Engine) ValidateQueryMoveCtx(ctx context.Context, ct Item, cand geom.Po
 	return !found, nil
 }
 
-// MQPTotalCost computes the experimental cost of a refined query point q*
+// MQPTotalCostCtx computes the experimental cost of a refined query point q*
 // from §VI.A: α·|q' − q*| where q' is the point of the safe region sr
 // closest to q*, plus, for every original reverse-skyline customer lost by
-// the move, the β-cost of winning that customer back via MWP against q*.
-// rsl must be RSL(q) over the customers of interest. A nil sr charges the
-// full distance from q (the safe region degenerates to {q}).
-func (e *Engine) MQPTotalCost(q, qStar geom.Point, rsl []Item, sr region.Set, opt Options) float64 {
-	total, _ := e.mqpTotalCost(nil, q, qStar, rsl, sr, opt)
-	return total
-}
-
-// MQPTotalCostCtx is MQPTotalCost with deadline/cancellation support (the
-// cost charges one MWP per lost customer, so it can be as expensive as |RSL|
-// why-not questions).
+// the move, the β-cost of winning that customer back via MWP against q* (so
+// it can be as expensive as |RSL| why-not questions). rsl must be RSL(q)
+// over the customers of interest. A nil sr charges the full distance from q
+// (the safe region degenerates to {q}).
 func (e *Engine) MQPTotalCostCtx(ctx context.Context, q, qStar geom.Point, rsl []Item, sr region.Set, opt Options) (float64, error) {
 	chk, err := entry(ctx)
 	if err != nil {
 		return 0, err
 	}
-	return e.mqpTotalCost(chk, q, qStar, rsl, sr, opt)
-}
-
-func (e *Engine) mqpTotalCost(chk *cancel.Checker, q, qStar geom.Point, rsl []Item, sr region.Set, opt Options) (float64, error) {
 	anchor := q
 	if len(sr) > 0 {
 		if p, _, ok := sr.NearestPoint(qStar, opt.WeightsQ); ok {

@@ -56,18 +56,12 @@ type MWQResult struct {
 	AlreadyMember bool
 }
 
-// MWQ implements Algorithm 4 (Modify Query and Why-not Point) given a
-// precomputed safe region (exact from SafeRegion or approximate from
-// ApproxSafeRegion; the paper reuses one safe region across many why-not
-// questions on the same query).
-func (e *Engine) MWQ(ct Item, q geom.Point, sr region.Set, opt Options) MWQResult {
-	res, _ := e.mwq(nil, nil, nil, ct, q, sr, opt)
-	return res
-}
-
-// MWQCtx is MWQ with deadline/cancellation support: checkpoints cover the
-// membership probe, the anti-DDR construction, and every corner evaluation of
-// the case-C2 loop (each of which runs a full checked MWP).
+// MWQCtx implements Algorithm 4 (Modify Query and Why-not Point) given a
+// precomputed safe region (exact from SafeRegionCtx or approximate from
+// ApproxSafeRegionCtx; the paper reuses one safe region across many why-not
+// questions on the same query). Checkpoints cover the membership probe, the
+// anti-DDR construction, and every corner evaluation of the case-C2 loop
+// (each of which runs a full checked MWP).
 func (e *Engine) MWQCtx(ctx context.Context, ct Item, q geom.Point, sr region.Set, opt Options) (MWQResult, error) {
 	chk, err := entry(ctx)
 	if err != nil {
@@ -239,56 +233,26 @@ func positiveRects(s region.Set) region.Set {
 	return out
 }
 
-// MWQExact computes the exact safe region and runs Algorithm 4. rsl must be
-// RSL(q) over the customers of interest.
-func (e *Engine) MWQExact(ct Item, q geom.Point, rsl []Item, opt Options) MWQResult {
-	return e.MWQ(ct, q, e.SafeRegion(q, rsl), opt)
-}
-
-// MWQExactCtx is MWQExact with deadline/cancellation support; the safe-region
-// construction — the step that is exponential in |RSL(q)| in the worst case —
-// is fully checkpointed.
+// MWQExactCtx computes the exact safe region and runs Algorithm 4. rsl must
+// be RSL(q) over the customers of interest. The safe-region construction —
+// the step that is exponential in |RSL(q)| in the worst case — is fully
+// checkpointed and fans out like SafeRegionCtx; Algorithm 4 itself runs on
+// the calling goroutine.
 func (e *Engine) MWQExactCtx(ctx context.Context, ct Item, q geom.Point, rsl []Item, opt Options) (MWQResult, error) {
 	chk, err := entry(ctx)
 	if err != nil {
 		return MWQResult{}, err
 	}
-	tr := obs.TraceFrom(ctx)
-	eb := explain.From(ctx)
-	endSR := tr.StartSpan("saferegion.exact")
-	spSR := eb.Start("saferegion.exact", explain.RuleSafeRegion)
-	spSR.SetIn(len(rsl))
-	sr, err := e.safeRegion(chk, q, rsl)
-	if err == nil {
-		spSR.SetOut(len(sr))
-	}
-	spSR.End()
-	endSR()
+	sr, err := e.exactSafeRegion(ctx, chk, q, rsl)
 	if err != nil {
 		return MWQResult{}, err
 	}
-	return e.mwq(chk, tr, eb, ct, q, sr, opt)
+	return e.mwq(chk, obs.TraceFrom(ctx), explain.From(ctx), ct, q, sr, opt)
 }
 
-// MWQExactParallelCtx is MWQExactCtx with the safe-region construction fanned
-// out over workers goroutines (0 = GOMAXPROCS); Algorithm 4 itself runs on
-// the calling goroutine. Results are identical to MWQExactCtx.
-func (e *Engine) MWQExactParallelCtx(ctx context.Context, ct Item, q geom.Point, rsl []Item, opt Options, workers int) (MWQResult, error) {
-	sr, err := e.SafeRegionParallel(ctx, q, rsl, workers)
-	if err != nil {
-		return MWQResult{}, err
-	}
-	return e.MWQCtx(ctx, ct, q, sr, opt)
-}
-
-// MWQApprox runs Algorithm 4 on the approximate safe region assembled from
-// the pre-computed store (§VI.B.1).
-func (e *Engine) MWQApprox(ct Item, q geom.Point, rsl []Item, store *ApproxStore, opt Options) MWQResult {
-	return e.MWQ(ct, q, e.ApproxSafeRegion(q, rsl, store), opt)
-}
-
-// MWQApproxCtx is MWQApprox with deadline/cancellation support — the fast
-// rung of the engine's degradation ladder.
+// MWQApproxCtx runs Algorithm 4 on the approximate safe region assembled from
+// the pre-computed store (§VI.B.1) — the fast rung of the engine's
+// degradation ladder.
 func (e *Engine) MWQApproxCtx(ctx context.Context, ct Item, q geom.Point, rsl []Item, store *ApproxStore, opt Options) (MWQResult, error) {
 	chk, err := entry(ctx)
 	if err != nil {

@@ -1,6 +1,7 @@
 package whynot
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,7 +24,7 @@ func TestMWPOptimalityAgainstGridSearch(t *testing.T) {
 	for trial := 0; trial < 80 && tested < 6; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 		ct := products[rng.Intn(len(products))]
-		res := e.MWP(ct, q, Options{})
+		res := must(e.MWPCtx(context.Background(), ct, q, Options{}))
 		if res.AlreadyMember {
 			continue
 		}
@@ -42,7 +43,7 @@ func TestMWPOptimalityAgainstGridSearch(t *testing.T) {
 					lo[0]+(hi[0]-lo[0])*float64(i)/steps,
 					lo[1]+(hi[1]-lo[1])*float64(j)/steps,
 				)
-				if e.DB.WindowExists(p, q, ct.ID) {
+				if must(e.DB.WindowExistsChecked(nil, p, q, ct.ID)) {
 					continue // not strictly valid
 				}
 				if c := e.costC(ct.Point, p, Options{}); c < gridBest {
@@ -70,7 +71,7 @@ func TestMQPOptimalityAgainstGridSearch(t *testing.T) {
 	for trial := 0; trial < 80 && tested < 6; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 		ct := products[rng.Intn(len(products))]
-		res := e.MQP(ct, q, Options{})
+		res := must(e.MQPCtx(context.Background(), ct, q, Options{}))
 		if res.AlreadyMember {
 			continue
 		}
@@ -87,7 +88,7 @@ func TestMQPOptimalityAgainstGridSearch(t *testing.T) {
 					lo[0]+(hi[0]-lo[0])*float64(i)/steps,
 					lo[1]+(hi[1]-lo[1])*float64(j)/steps,
 				)
-				if e.DB.WindowExists(ct.Point, p, ct.ID) {
+				if must(e.DB.WindowExistsChecked(nil, ct.Point, p, ct.ID)) {
 					continue // p does not admit c_t as query point
 				}
 				if c := e.costQ(q, p, Options{}); c < gridBest {
@@ -116,7 +117,7 @@ func TestMWPOptimalityWeighted(t *testing.T) {
 	for trial := 0; trial < 80 && tested < 5; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 		ct := products[rng.Intn(len(products))]
-		res := e.MWP(ct, q, opt)
+		res := must(e.MWPCtx(context.Background(), ct, q, opt))
 		if res.AlreadyMember {
 			continue
 		}
@@ -132,7 +133,7 @@ func TestMWPOptimalityWeighted(t *testing.T) {
 					lo[0]+(hi[0]-lo[0])*float64(i)/steps,
 					lo[1]+(hi[1]-lo[1])*float64(j)/steps,
 				)
-				if e.DB.WindowExists(p, q, ct.ID) {
+				if must(e.DB.WindowExistsChecked(nil, p, q, ct.ID)) {
 					continue
 				}
 				if c := e.costC(ct.Point, p, opt); c < gridBest {

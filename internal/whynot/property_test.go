@@ -1,6 +1,7 @@
 package whynot
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -22,12 +23,12 @@ func propertyCases(t *testing.T, e *Engine, products []Item, seed int64, fn func
 	tested := 0
 	for trial := 0; trial < 60 && tested < 6; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := e.DB.ReverseSkyline(products, q)
+		rsl := must(e.DB.ReverseSkylineCtx(context.Background(), products, q))
 		if len(rsl) == 0 || len(rsl) > 12 {
 			continue
 		}
 		ct := products[rng.Intn(len(products))]
-		if !e.DB.WindowExists(ct.Point, q, ct.ID) {
+		if !must(e.DB.WindowExistsChecked(nil, ct.Point, q, ct.ID)) {
 			continue // already a member
 		}
 		tested++
@@ -50,8 +51,8 @@ func TestPropertyMWQNeverCostlierThanMWP(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		e, products := propertyEngine(seed)
 		propertyCases(t, e, products, seed, func(q geom.Point, rsl []Item, ct Item) {
-			mwq := e.MWQExact(ct, q, rsl, Options{})
-			mwp := e.MWP(ct, q, Options{})
+			mwq := must(e.MWQExactCtx(context.Background(), ct, q, rsl, Options{}))
+			mwp := must(e.MWPCtx(context.Background(), ct, q, Options{}))
 			if mwq.Case == CaseOverlap && mwq.Cost != 0 {
 				t.Fatalf("seed %d: C1 cost %v, want 0", seed, mwq.Cost)
 			}
@@ -79,11 +80,11 @@ func TestPropertyMWQNeverCostlierThanMWP(t *testing.T) {
 func TestPropertyApproxMWQAgainstExact(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		e, products := propertyEngine(seed)
-		store := e.BuildApproxStore(products, 6, 0)
+		store := must(e.BuildApproxStoreCtx(context.Background(), products, 6, 0))
 		rng := rand.New(rand.NewSource(seed + 375))
 		propertyCases(t, e, products, seed, func(q geom.Point, rsl []Item, ct Item) {
-			exact := e.MWQExact(ct, q, rsl, Options{})
-			approx := e.MWQApprox(ct, q, rsl, store, Options{})
+			exact := must(e.MWQExactCtx(context.Background(), ct, q, rsl, Options{}))
+			approx := must(e.MWQApproxCtx(context.Background(), ct, q, rsl, store, Options{}))
 
 			// Region subset, probed at corners and random interior samples of
 			// every positive approximate rectangle.
@@ -118,12 +119,12 @@ func TestPropertyApproxMWQAgainstExact(t *testing.T) {
 				case CaseOverlap:
 					// q* admits ct without moving it: an MQP-style move.
 					qn := res.r.Overlap.InteriorNudge(res.r.QStar, 1e-9)
-					if !e.ValidateQueryMove(ct, qn, 1e-9) {
+					if !must(e.ValidateQueryMoveCtx(context.Background(), ct, qn, 1e-9)) {
 						t.Fatalf("seed %d: %s C1 q*=%v does not admit ct", seed, res.name, res.r.QStar)
 					}
 				case CaseDisjoint:
 					// ct* admits ct against the moved query: an MWP-style move.
-					if !e.ValidateWhyNotMove(ct, res.r.QStar, res.r.CtStar, 1e-7) {
+					if !must(e.ValidateWhyNotMoveCtx(context.Background(), ct, res.r.QStar, res.r.CtStar, 1e-7)) {
 						t.Fatalf("seed %d: %s C2 ct*=%v invalid against q*=%v",
 							seed, res.name, res.r.CtStar, res.r.QStar)
 					}
@@ -146,7 +147,7 @@ func TestPropertyRSLMonotoneUnderSafeMove(t *testing.T) {
 		e, products := propertyEngine(seed)
 		rng := rand.New(rand.NewSource(seed + 400))
 		propertyCases(t, e, products, seed, func(q geom.Point, rsl []Item, ct Item) {
-			res := e.MWQExact(ct, q, rsl, Options{})
+			res := must(e.MWQExactCtx(context.Background(), ct, q, rsl, Options{}))
 			probes := []geom.Point{res.SafeRegion.InteriorNudge(res.QStar, 1e-9)}
 			if res.Case == CaseOverlap {
 				probes[0] = res.Overlap.InteriorNudge(res.QStar, 1e-9)
@@ -159,7 +160,7 @@ func TestPropertyRSLMonotoneUnderSafeMove(t *testing.T) {
 				probes = append(probes, res.SafeRegion.InteriorNudge(p, 1e-9))
 			}
 			for _, qStar := range probes {
-				after := idSetOf(e.DB.ReverseSkyline(products, qStar))
+				after := idSetOf(must(e.DB.ReverseSkylineCtx(context.Background(), products, qStar)))
 				for _, c := range rsl {
 					if !after[c.ID] {
 						t.Fatalf("seed %d: customer %d ∈ RSL(q) lost at q*=%v ∈ SR(q)",

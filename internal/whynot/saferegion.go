@@ -13,120 +13,72 @@ import (
 	"repro/internal/skyline"
 )
 
-// SafeRegion implements Algorithm 3: the exact safe region of q is the
+// SafeRegionCtx implements Algorithm 3: the exact safe region of q is the
 // intersection of the anti-dominance regions of every reverse-skyline point
 // (Lemma 2), each represented as a union of rectangles built from the
 // customer's dynamic skyline (Fig. 10). rsl must be RSL(q) over the customers
 // of interest; an empty rsl yields the whole product universe, since q then
 // has no customers to lose. By construction q itself always lies in the
-// result.
-func (e *Engine) SafeRegion(q geom.Point, rsl []Item) region.Set {
-	sr, _ := e.safeRegion(nil, q, rsl)
-	return sr
-}
-
-// SafeRegionCtx is SafeRegion with deadline/cancellation support: the
-// checkpoint fires once per reverse-skyline member (each contributes one DSL
-// computation plus one rectangle-set intersection, the part that can grow
-// exponentially with |RSL(q)|).
+// result. The checkpoint fires once per reverse-skyline member (each
+// contributes one DSL computation plus one rectangle-set intersection, the
+// part that can grow exponentially with |RSL(q)|).
 func (e *Engine) SafeRegionCtx(ctx context.Context, q geom.Point, rsl []Item) (region.Set, error) {
 	chk, err := entry(ctx)
 	if err != nil {
 		return nil, err
 	}
+	return e.exactSafeRegion(ctx, chk, q, rsl)
+}
+
+// exactSafeRegion runs Algorithm 3 under its "saferegion.exact" phase span
+// and plan node; every entry point that builds the exact region goes through
+// it, so traces and EXPLAIN plans do not depend on the fan-out width.
+func (e *Engine) exactSafeRegion(ctx context.Context, chk *cancel.Checker, q geom.Point, rsl []Item) (region.Set, error) {
 	_, endPhase := obs.StartPhase(ctx, "saferegion.exact")
 	defer endPhase()
 	sp := explain.From(ctx).Start("saferegion.exact", explain.RuleSafeRegion)
 	sp.SetIn(len(rsl))
-	sr, err := e.safeRegion(chk, q, rsl)
+	defer sp.End()
+	sr, err := e.safeRegion(ctx, chk, q, rsl)
 	if err == nil {
 		sp.SetOut(len(sr))
 	}
-	sp.End()
 	return sr, err
 }
 
-func (e *Engine) safeRegion(chk *cancel.Checker, q geom.Point, rsl []Item) (region.Set, error) {
+func (e *Engine) safeRegion(ctx context.Context, chk *cancel.Checker, q geom.Point, rsl []Item) (region.Set, error) {
 	universe, ok := e.DB.Universe()
 	if !ok {
 		return region.Set{geom.PointRect(q)}, nil
 	}
-	var sr region.Set
-	started := false
-	poll := pollAt(chk, cancel.SiteSafeRegion)
-	for _, c := range rsl {
-		if err := chk.Point(cancel.SiteSafeRegion); err != nil {
-			return nil, err
-		}
-		add, err := e.antiDDRCached(chk, c, universe, poll)
-		if err != nil {
-			return nil, err
-		}
-		if !started {
-			// Copy: add may be a shared cached set and the fold (and
-			// ensureContainsQ below) append to sr.
-			sr, started = append(region.Set{}, add...), true
-		} else {
-			sr, err = sr.IntersectSetChecked(add, poll)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	if !started {
+	if len(rsl) == 0 {
 		// No reverse-skyline points: every position is safe within the
 		// universe (extended symmetrically around q like any anti-DDR).
 		u := universe.TransformMinMax(q).Hi
 		return region.Set{{Lo: q.Sub(u), Hi: q.Add(u)}}, nil
 	}
-	return ensureContainsQ(sr, q), nil
-}
-
-// SafeRegionParallel is SafeRegionCtx with the per-customer anti-DDR
-// construction — DSL computation plus staircase assembly, the bulk of
-// Algorithm 3 — fanned out over workers goroutines (0 = GOMAXPROCS). The
-// rectangle-set intersection fold stays sequential: it is an ordered
-// reduction whose cost is dwarfed by the per-customer work. workers <= 1
-// falls back to the sequential construction, so results are always identical.
-func (e *Engine) SafeRegionParallel(ctx context.Context, q geom.Point, rsl []Item, workers int) (region.Set, error) {
-	if exec.Resolve(workers, len(rsl)) <= 1 {
-		return e.SafeRegionCtx(ctx, q, rsl)
-	}
-	chk, err := entry(ctx)
-	if err != nil {
-		return nil, err
-	}
-	_, endPhase := obs.StartPhase(ctx, "saferegion.parallel")
-	defer endPhase()
-	universe, ok := e.DB.Universe()
-	if !ok {
-		return region.Set{geom.PointRect(q)}, nil
-	}
+	// The per-customer anti-DDRs — DSL computation plus staircase assembly,
+	// the bulk of Algorithm 3 — fan out over exec.Workers(ctx) goroutines.
+	// The intersection fold stays on this goroutine: it is an ordered
+	// reduction, so the result is identical at every width.
 	adds := make([]region.Set, len(rsl))
-	err = exec.ForEach(ctx, len(rsl), workers, cancel.SiteSafeRegion, func(chk *cancel.Checker, i int) error {
-		add, err := e.antiDDRCached(chk, rsl[i], universe, pollAt(chk, cancel.SiteSafeRegion))
-		adds[i] = add
+	err := exec.ForEach(ctx, len(rsl), cancel.SiteSafeRegion, func(chk *cancel.Checker, i int) error {
+		var err error
+		adds[i], err = e.antiDDRCached(chk, rsl[i], universe, pollAt(chk, cancel.SiteSafeRegion))
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	// Copy: adds[0] may be a shared cached set and the fold (and
+	// ensureContainsQ below) append to sr.
+	sr := append(region.Set{}, adds[0]...)
 	poll := pollAt(chk, cancel.SiteSafeRegion)
-	var sr region.Set
-	started := false
-	for _, add := range adds {
-		if !started {
-			sr, started = append(region.Set{}, add...), true
-			continue
-		}
-		sr, err = sr.IntersectSetChecked(add, poll)
-		if err != nil {
+	for i := 1; i < len(adds); i++ {
+		if sr, err = sr.IntersectSetChecked(adds[i], poll); err != nil {
 			return nil, err
 		}
-	}
-	if !started {
-		u := universe.TransformMinMax(q).Hi
-		return region.Set{{Lo: q.Sub(u), Hi: q.Add(u)}}, nil
+		adds[i] = nil // folded: let an uncached set go before the next one
 	}
 	return ensureContainsQ(sr, q), nil
 }
@@ -213,43 +165,40 @@ type ApproxStore struct {
 	corners map[int][]geom.Point
 }
 
-// BuildApproxStore pre-computes approximate anti-DDR corners for every given
-// customer: the full DSL is computed once per customer, k-sampled, and the
-// resulting corners stored (first and last sorted points always retained, no
-// successive-pair merging — Fig. 16).
-func (e *Engine) BuildApproxStore(customers []Item, k, sortDim int) *ApproxStore {
-	store, _ := e.buildApproxStore(nil, customers, k, sortDim)
-	return store
-}
-
-// BuildApproxStoreCtx is BuildApproxStore with deadline/cancellation support
-// (the offline precomputation is linear in customers but each step is a full
-// DSL computation).
+// BuildApproxStoreCtx pre-computes approximate anti-DDR corners for every
+// given customer: the full DSL is computed once per customer, k-sampled, and
+// the resulting corners stored (first and last sorted points always
+// retained, no successive-pair merging — Fig. 16). Each customer is an
+// independent read-only index traversal, so the loop fans out over
+// exec.Workers(ctx) goroutines; the store is identical at every width.
 func (e *Engine) BuildApproxStoreCtx(ctx context.Context, customers []Item, k, sortDim int) (*ApproxStore, error) {
-	chk, err := entry(ctx)
-	if err != nil {
+	if _, err := entry(ctx); err != nil {
 		return nil, err
 	}
-	return e.buildApproxStore(chk, customers, k, sortDim)
-}
-
-func (e *Engine) buildApproxStore(chk *cancel.Checker, customers []Item, k, sortDim int) (*ApproxStore, error) {
+	store := &ApproxStore{K: k, SortDim: sortDim, corners: make(map[int][]geom.Point, len(customers))}
 	universe, ok := e.DB.Universe()
 	if !ok {
-		return &ApproxStore{K: k, SortDim: sortDim, corners: map[int][]geom.Point{}}, nil
+		return store, nil
 	}
-	store := &ApproxStore{K: k, SortDim: sortDim, corners: make(map[int][]geom.Point, len(customers))}
-	for _, c := range customers {
-		if err := chk.Point(cancel.SiteStoreBuild); err != nil {
-			return nil, err
-		}
+	// Per-index result slots: each job writes only its own index, so the
+	// map is assembled without locking once the loop is done.
+	corners := make([][]geom.Point, len(customers))
+	err := exec.ForEach(ctx, len(customers), cancel.SiteStoreBuild, func(chk *cancel.Checker, i int) error {
+		c := customers[i]
 		dsl, err := e.DB.DynamicSkylineExcludingChecked(chk, c.Point, e.exclude(c))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sampled := skyline.ApproxDynamic(dsl, c.Point, k, sortDim)
 		u := universe.TransformMinMax(c.Point).Hi
-		store.corners[c.ID] = region.ApproxAntiDDRCorners(c.Point, points(sampled), u, sortDim)
+		corners[i] = region.ApproxAntiDDRCorners(c.Point, points(sampled), u, sortDim)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range customers {
+		store.corners[c.ID] = corners[i]
 	}
 	return store, nil
 }
@@ -261,17 +210,11 @@ func (s *ApproxStore) Corners(id int) ([]geom.Point, bool) {
 	return c, ok
 }
 
-// ApproxSafeRegion assembles the approximate safe region from pre-computed
-// corners. Customers missing from the store fall back to an exact anti-DDR
-// computation, keeping the result correct (always a subset of the exact safe
-// region, so no existing customer can be lost).
-func (e *Engine) ApproxSafeRegion(q geom.Point, rsl []Item, store *ApproxStore) region.Set {
-	sr, _ := e.approxSafeRegion(nil, q, rsl, store)
-	return sr
-}
-
-// ApproxSafeRegionCtx is ApproxSafeRegion with deadline/cancellation support.
-// Its checkpoints use a distinct site from the exact construction so fault
+// ApproxSafeRegionCtx assembles the approximate safe region from
+// pre-computed corners. Customers missing from the store fall back to an
+// exact anti-DDR computation, keeping the result correct (always a subset of
+// the exact safe region, so no existing customer can be lost). Its
+// checkpoints use a distinct site from the exact construction so fault
 // injection can slow one rung of the degradation ladder without the other.
 func (e *Engine) ApproxSafeRegionCtx(ctx context.Context, q geom.Point, rsl []Item, store *ApproxStore) (region.Set, error) {
 	chk, err := entry(ctx)
@@ -341,25 +284,15 @@ func ExpandSafeRegion(limits geom.Rect) region.Set {
 	return region.Set{limits.Clone()}
 }
 
-// LostCustomers returns the members of rsl that would leave the reverse
+// LostCustomersCtx returns the members of rsl that would leave the reverse
 // skyline if the query point moved to qStar — the side-effect measure for
-// truncated/expanded safe regions and for raw MQP answers.
-func (e *Engine) LostCustomers(qStar geom.Point, rsl []Item) []Item {
-	lost, _ := e.lostCustomers(nil, qStar, rsl)
-	return lost
-}
-
-// LostCustomersCtx is LostCustomers with deadline/cancellation support (one
+// truncated/expanded safe regions and for raw MQP answers (one
 // window-existence probe per reverse-skyline member).
 func (e *Engine) LostCustomersCtx(ctx context.Context, qStar geom.Point, rsl []Item) ([]Item, error) {
 	chk, err := entry(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return e.lostCustomers(chk, qStar, rsl)
-}
-
-func (e *Engine) lostCustomers(chk *cancel.Checker, qStar geom.Point, rsl []Item) ([]Item, error) {
 	var lost []Item
 	for _, c := range rsl {
 		if err := chk.Point(cancel.SiteCustomer); err != nil {
@@ -376,15 +309,9 @@ func (e *Engine) lostCustomers(chk *cancel.Checker, qStar geom.Point, rsl []Item
 	return lost, nil
 }
 
-// AntiDDROf returns the anti-dominance region of an arbitrary point as a
+// AntiDDROfCtx returns the anti-dominance region of an arbitrary point as a
 // rectangle set (used by Algorithm 4 for the why-not point and exposed for
 // callers that want to inspect it).
-func (e *Engine) AntiDDROf(c Item) region.Set {
-	set, _ := e.antiDDROf(nil, c)
-	return set
-}
-
-// AntiDDROfCtx is AntiDDROf with deadline/cancellation support.
 func (e *Engine) AntiDDROfCtx(ctx context.Context, c Item) (region.Set, error) {
 	chk, err := entry(ctx)
 	if err != nil {
@@ -401,25 +328,17 @@ func (e *Engine) antiDDROf(chk *cancel.Checker, c Item) (region.Set, error) {
 	return e.antiDDRCompute(chk, c, universe, pollAt(chk, cancel.SiteAntiDDR))
 }
 
-// ReverseSkyline recomputes RSL(q) over the given customers (convenience
-// passthrough used by the harness and examples).
-func (e *Engine) ReverseSkyline(customers []Item, q geom.Point) []Item {
-	out, _ := e.reverseSkyline(nil, customers, q)
-	return out
-}
-
-// ReverseSkylineCtx is ReverseSkyline with deadline/cancellation support.
+// ReverseSkylineCtx recomputes RSL(q) over the given customers (convenience
+// passthrough used by the harness and examples). Under the monochromatic
+// convention it is the database's per-customer loop, which fans out over
+// exec.Workers(ctx) goroutines.
 func (e *Engine) ReverseSkylineCtx(ctx context.Context, customers []Item, q geom.Point) ([]Item, error) {
 	chk, err := entry(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return e.reverseSkyline(chk, customers, q)
-}
-
-func (e *Engine) reverseSkyline(chk *cancel.Checker, customers []Item, q geom.Point) ([]Item, error) {
 	if e.Mono {
-		return e.DB.ReverseSkylineChecked(chk, customers, q)
+		return e.DB.ReverseSkylineCtx(ctx, customers, q)
 	}
 	out := make([]Item, 0)
 	for _, c := range customers {

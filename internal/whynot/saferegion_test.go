@@ -1,6 +1,7 @@
 package whynot
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 func TestTruncateSafeRegion(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
-	sr := e.SafeRegion(paperQ, rsl)
+	rsl := must(e.DB.ReverseSkylineCtx(context.Background(), customers, paperQ))
+	sr := must(e.SafeRegionCtx(context.Background(), paperQ, rsl))
 
 	// Limit the price to [8, 12]: the truncated region must be inside both
 	// the limits and the original safe region.
@@ -40,7 +41,7 @@ func TestTruncateSafeRegion(t *testing.T) {
 		}
 		p := r.Center()
 		for _, c := range rsl {
-			if e.DB.WindowExists(c.Point, p, c.ID) {
+			if must(e.DB.WindowExistsChecked(nil, c.Point, p, c.ID)) {
 				t.Fatalf("customer %d lost inside the truncated region at %v", c.ID, p)
 			}
 		}
@@ -55,7 +56,7 @@ func TestTruncateSafeRegion(t *testing.T) {
 func TestExpandSafeRegionAndLostCustomers(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
+	rsl := must(e.DB.ReverseSkylineCtx(context.Background(), customers, paperQ))
 
 	limits := geom.NewRect(geom.NewPoint(2.5, 20), geom.NewPoint(26, 90))
 	exp := ExpandSafeRegion(limits)
@@ -63,12 +64,12 @@ func TestExpandSafeRegionAndLostCustomers(t *testing.T) {
 		t.Fatalf("expanded region = %v", exp)
 	}
 	// Moving far away loses customers, and LostCustomers reports them.
-	lost := e.LostCustomers(geom.NewPoint(26, 20), rsl)
+	lost := must(e.LostCustomersCtx(context.Background(), geom.NewPoint(26, 20), rsl))
 	if len(lost) == 0 {
 		t.Fatal("a drastic move should lose at least one customer")
 	}
 	// Staying put loses nobody.
-	if got := e.LostCustomers(paperQ, rsl); len(got) != 0 {
+	if got := must(e.LostCustomersCtx(context.Background(), paperQ, rsl)); len(got) != 0 {
 		t.Fatalf("staying at q lost %v", got)
 	}
 	// Consistency: every reported-lost customer really fails the window
@@ -78,7 +79,7 @@ func TestExpandSafeRegionAndLostCustomers(t *testing.T) {
 		lostSet[c.ID] = true
 	}
 	for _, c := range rsl {
-		fails := e.DB.WindowExists(c.Point, geom.NewPoint(26, 20), c.ID)
+		fails := must(e.DB.WindowExistsChecked(nil, c.Point, geom.NewPoint(26, 20), c.ID))
 		if fails != lostSet[c.ID] {
 			t.Fatalf("LostCustomers inconsistent for %d", c.ID)
 		}
@@ -91,20 +92,20 @@ func TestApproxSafeRegionFallback(t *testing.T) {
 	products := randProducts(400, 777)
 	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
 	// Store covers only the first 10 customers.
-	store := e.BuildApproxStore(products[:10], 5, 0)
+	store := must(e.BuildApproxStoreCtx(context.Background(), products[:10], 5, 0))
 	rng := rand.New(rand.NewSource(778))
 	for trial := 0; trial < 30; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := e.DB.ReverseSkyline(products, q)
+		rsl := must(e.DB.ReverseSkylineCtx(context.Background(), products, q))
 		if len(rsl) == 0 || len(rsl) > 8 {
 			continue
 		}
-		approx := e.ApproxSafeRegion(q, rsl, store)
+		approx := must(e.ApproxSafeRegionCtx(context.Background(), q, rsl, store))
 		if !approx.Contains(q) {
 			t.Fatal("approx safe region with fallback must contain q")
 		}
 		// Still a subset of the exact safe region.
-		exact := e.SafeRegion(q, rsl)
+		exact := must(e.SafeRegionCtx(context.Background(), q, rsl))
 		inter := approx.IntersectSet(exact)
 		if diff := inter.Area() - approx.Area(); diff > 1e-6*(1+approx.Area()) || diff < -1e-6*(1+approx.Area()) {
 			t.Fatal("fallback approx region not a subset of the exact one")
@@ -116,7 +117,7 @@ func TestApproxSafeRegionFallback(t *testing.T) {
 
 func TestSafeRegionNoCustomers(t *testing.T) {
 	e := fig1Engine()
-	sr := e.SafeRegion(paperQ, nil)
+	sr := must(e.SafeRegionCtx(context.Background(), paperQ, nil))
 	if !sr.Contains(paperQ) {
 		t.Fatal("empty-RSL safe region must contain q")
 	}
@@ -126,8 +127,8 @@ func TestSafeRegionNoCustomers(t *testing.T) {
 		t.Fatal("empty-RSL safe region must span the universe")
 	}
 	// Approx variant behaves identically.
-	store := e.BuildApproxStore(nil, 5, 0)
-	if got := e.ApproxSafeRegion(paperQ, nil, store); !got.Contains(u.Hi) {
+	store := must(e.BuildApproxStoreCtx(context.Background(), nil, 5, 0))
+	if got := must(e.ApproxSafeRegionCtx(context.Background(), paperQ, nil, store)); !got.Contains(u.Hi) {
 		t.Fatal("approx empty-RSL safe region must span the universe")
 	}
 }
@@ -181,17 +182,17 @@ func TestSafeRegionExactnessRandom(t *testing.T) {
 	tested := 0
 	for trial := 0; trial < 40 && tested < 4; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := e.DB.ReverseSkyline(products, q)
+		rsl := must(e.DB.ReverseSkylineCtx(context.Background(), products, q))
 		if len(rsl) < 2 || len(rsl) > 8 {
 			continue
 		}
 		tested++
-		sr := e.SafeRegion(q, rsl)
+		sr := must(e.SafeRegionCtx(context.Background(), q, rsl))
 		for probe := 0; probe < 300; probe++ {
 			p := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 			safe := true
 			for _, c := range rsl {
-				if e.DB.WindowExists(c.Point, p, c.ID) {
+				if must(e.DB.WindowExistsChecked(nil, c.Point, p, c.ID)) {
 					safe = false
 					break
 				}
@@ -214,11 +215,11 @@ func TestOptionsWeightsChangeBestCandidate(t *testing.T) {
 	// Equal weights prefer the mileage move or price move depending on the
 	// normalised spans; forcing all weight onto one dimension must flip the
 	// preference between the two paper candidates (5,48.5) and (8,30).
-	priceOnly := e.MWP(c1, paperQ, Options{WeightsC: []float64{1, 0}})
+	priceOnly := must(e.MWPCtx(context.Background(), c1, paperQ, Options{WeightsC: []float64{1, 0}}))
 	if !priceOnly.Best().Point.ApproxEqual(geom.NewPoint(5, 48.5), 1e-9) {
 		t.Fatalf("price-weighted best = %v, want the mileage move (5, 48.5)", priceOnly.Best().Point)
 	}
-	mileageOnly := e.MWP(c1, paperQ, Options{WeightsC: []float64{0, 1}})
+	mileageOnly := must(e.MWPCtx(context.Background(), c1, paperQ, Options{WeightsC: []float64{0, 1}}))
 	if !mileageOnly.Best().Point.ApproxEqual(geom.NewPoint(8, 30), 1e-9) {
 		t.Fatalf("mileage-weighted best = %v, want the price move (8, 30)", mileageOnly.Best().Point)
 	}
@@ -232,19 +233,19 @@ func TestSortDimOptionStillValid(t *testing.T) {
 	for trial := 0; trial < 50 && tested < 10; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 		ct := products[rng.Intn(len(products))]
-		res := e.MWP(ct, q, Options{SortDim: 1})
+		res := must(e.MWPCtx(context.Background(), ct, q, Options{SortDim: 1}))
 		if res.AlreadyMember {
 			continue
 		}
 		tested++
 		for _, cand := range res.Candidates {
-			if !e.ValidateWhyNotMove(ct, q, cand.Point, 1e-7) {
+			if !must(e.ValidateWhyNotMoveCtx(context.Background(), ct, q, cand.Point, 1e-7)) {
 				t.Fatalf("SortDim=1 candidate %v invalid", cand.Point)
 			}
 		}
 		// Both sort dimensions must reach the same optimum cost (the
 		// candidate set is the same staircase enumerated differently).
-		alt := e.MWP(ct, q, Options{SortDim: 0})
+		alt := must(e.MWPCtx(context.Background(), ct, q, Options{SortDim: 0}))
 		if d := res.Best().Cost - alt.Best().Cost; d > 1e-9 || d < -1e-9 {
 			t.Fatalf("sort-dim changed the optimum: %v vs %v", res.Best().Cost, alt.Best().Cost)
 		}
@@ -257,9 +258,9 @@ func TestSortDimOptionStillValid(t *testing.T) {
 func TestRegionEquivalenceHelperOnSafeRegions(t *testing.T) {
 	// The same safe region computed twice must be equivalent.
 	e := fig1Engine()
-	rsl := e.DB.ReverseSkyline(fig1(), paperQ)
-	a := e.SafeRegion(paperQ, rsl)
-	b := e.SafeRegion(paperQ, rsl)
+	rsl := must(e.DB.ReverseSkylineCtx(context.Background(), fig1(), paperQ))
+	a := must(e.SafeRegionCtx(context.Background(), paperQ, rsl))
+	b := must(e.SafeRegionCtx(context.Background(), paperQ, rsl))
 	if !region.Equivalent(a, b) {
 		t.Fatal("safe region computation must be deterministic")
 	}
@@ -268,7 +269,7 @@ func TestRegionEquivalenceHelperOnSafeRegions(t *testing.T) {
 func TestEngineReverseSkylinePassthrough(t *testing.T) {
 	// Monochromatic engine: same result as the DB path.
 	e := fig1Engine()
-	mono := e.ReverseSkyline(fig1(), paperQ)
+	mono := must(e.ReverseSkylineCtx(context.Background(), fig1(), paperQ))
 	if len(mono) != 5 {
 		t.Fatalf("mono RSL = %d", len(mono))
 	}
@@ -280,9 +281,9 @@ func TestEngineReverseSkylinePassthrough(t *testing.T) {
 		customers[i].ID += 50000
 	}
 	q := geom.NewPoint(50, 50)
-	got := eb.ReverseSkyline(customers, q)
+	got := must(eb.ReverseSkylineCtx(context.Background(), customers, q))
 	for _, c := range got {
-		if eb.DB.WindowExists(c.Point, q, rskyline.NoExclude) {
+		if must(eb.DB.WindowExistsChecked(nil, c.Point, q, rskyline.NoExclude)) {
 			t.Fatalf("bichromatic member %d fails the window test", c.ID)
 		}
 	}

@@ -2,7 +2,6 @@ package whynot
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -12,11 +11,7 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/cancel"
-	"repro/internal/exec"
 	"repro/internal/geom"
-	"repro/internal/region"
-	"repro/internal/skyline"
 )
 
 // Binary wire format of an ApproxStore (all integers little-endian):
@@ -263,54 +258,3 @@ func LoadApproxStore(r io.Reader) (*ApproxStore, error) {
 
 // Len returns the number of customers with precomputed corners.
 func (s *ApproxStore) Len() int { return len(s.corners) }
-
-// BuildApproxStoreParallel is BuildApproxStore fanned out over workers
-// goroutines (0 means GOMAXPROCS). Each customer's dynamic skyline is an
-// independent read-only index traversal, so this is safe and scales
-// linearly — the offline precomputation is the only heavyweight step of the
-// approximate pipeline.
-func (e *Engine) BuildApproxStoreParallel(customers []Item, k, sortDim, workers int) *ApproxStore {
-	store, _ := e.buildApproxStoreParallel(nil, customers, k, sortDim, workers)
-	return store
-}
-
-// BuildApproxStoreParallelCtx is BuildApproxStoreParallel with
-// deadline/cancellation support. Each worker polls the context through its
-// own checker (checkers are per-goroutine); the first error wins.
-func (e *Engine) BuildApproxStoreParallelCtx(ctx context.Context, customers []Item, k, sortDim, workers int) (*ApproxStore, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return e.buildApproxStoreParallel(ctx, customers, k, sortDim, workers)
-}
-
-func (e *Engine) buildApproxStoreParallel(ctx context.Context, customers []Item, k, sortDim, workers int) (*ApproxStore, error) {
-	universe, ok := e.DB.Universe()
-	store := &ApproxStore{K: k, SortDim: sortDim, corners: make(map[int][]geom.Point, len(customers))}
-	if !ok || len(customers) == 0 {
-		return store, nil
-	}
-	// Per-index result slots: each worker writes only its own index, so the
-	// map is assembled without locking once the pool drains.
-	corners := make([][]geom.Point, len(customers))
-	err := exec.ForEach(ctx, len(customers), workers, cancel.SiteStoreBuild, func(chk *cancel.Checker, i int) error {
-		c := customers[i]
-		dsl, err := e.DB.DynamicSkylineExcludingChecked(chk, c.Point, e.exclude(c))
-		if err != nil {
-			return err
-		}
-		sampled := skyline.ApproxDynamic(dsl, c.Point, k, sortDim)
-		u := universe.TransformMinMax(c.Point).Hi
-		corners[i] = region.ApproxAntiDDRCorners(c.Point, points(sampled), u, sortDim)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range customers {
-		store.corners[c.ID] = corners[i]
-	}
-	return store, nil
-}

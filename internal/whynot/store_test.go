@@ -2,10 +2,12 @@ package whynot
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/rskyline"
 	"repro/internal/rtree"
 )
@@ -13,7 +15,7 @@ import (
 func TestApproxStoreSaveLoadRoundTrip(t *testing.T) {
 	products := randProducts(300, 2024)
 	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
-	store := e.BuildApproxStore(products[:50], 7, 0)
+	store := must(e.BuildApproxStoreCtx(context.Background(), products[:50], 7, 0))
 	if store.Len() != 50 {
 		t.Fatalf("store Len = %d", store.Len())
 	}
@@ -40,10 +42,10 @@ func TestApproxStoreSaveLoadRoundTrip(t *testing.T) {
 	// The loaded store produces identical safe regions.
 	q := products[7].Point.Clone()
 	q[0] += 0.5
-	rsl := e.DB.ReverseSkyline(products, q)
+	rsl := must(e.DB.ReverseSkylineCtx(context.Background(), products, q))
 	if len(rsl) > 0 {
-		a := e.ApproxSafeRegion(q, rsl, store)
-		b := e.ApproxSafeRegion(q, rsl, back)
+		a := must(e.ApproxSafeRegionCtx(context.Background(), q, rsl, store))
+		b := must(e.ApproxSafeRegionCtx(context.Background(), q, rsl, back))
 		if len(a) != len(b) {
 			t.Fatalf("safe regions differ: %d vs %d rects", len(a), len(b))
 		}
@@ -62,9 +64,9 @@ func TestLoadApproxStoreErrors(t *testing.T) {
 func TestBuildApproxStoreParallelMatchesSerial(t *testing.T) {
 	products := randProducts(400, 2025)
 	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
-	serial := e.BuildApproxStore(products[:120], 5, 0)
-	for _, workers := range []int{0, 1, 4} {
-		parallel := e.BuildApproxStoreParallel(products[:120], 5, 0, workers)
+	serial := must(e.BuildApproxStoreCtx(context.Background(), products[:120], 5, 0))
+	for _, workers := range []int{-1, 1, 4} {
+		parallel := must(e.BuildApproxStoreCtx(exec.WithWorkers(context.Background(), workers), products[:120], 5, 0))
 		if parallel.Len() != serial.Len() {
 			t.Fatalf("workers=%d: Len %d vs %d", workers, parallel.Len(), serial.Len())
 		}
@@ -77,7 +79,7 @@ func TestBuildApproxStoreParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	// Empty customer list is fine.
-	if got := e.BuildApproxStoreParallel(nil, 5, 0, 4); got.Len() != 0 {
+	if got := must(e.BuildApproxStoreCtx(exec.WithWorkers(context.Background(), 4), nil, 5, 0)); got.Len() != 0 {
 		t.Fatal("empty build must yield an empty store")
 	}
 }
@@ -88,7 +90,7 @@ func TestBuildApproxStoreParallelMatchesSerial(t *testing.T) {
 func TestApproxStoreChecksum(t *testing.T) {
 	products := randProducts(60, 99)
 	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
-	store := e.BuildApproxStore(products[:12], 3, 0)
+	store := must(e.BuildApproxStoreCtx(context.Background(), products[:12], 3, 0))
 	var buf bytes.Buffer
 	if err := store.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -113,7 +115,7 @@ func TestApproxStoreChecksum(t *testing.T) {
 func TestApproxStoreV1Compat(t *testing.T) {
 	products := randProducts(60, 100)
 	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
-	store := e.BuildApproxStore(products[:12], 3, 0)
+	store := must(e.BuildApproxStoreCtx(context.Background(), products[:12], 3, 0))
 	var buf bytes.Buffer
 	if err := store.Save(&buf); err != nil {
 		t.Fatal(err)

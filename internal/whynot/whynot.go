@@ -142,14 +142,9 @@ func entry(ctx context.Context) (*cancel.Checker, error) {
 	return cancel.FromContext(ctx), nil
 }
 
-// Explain answers aspect (1) of §III: it returns the products Λ that keep
-// c_t out of RSL(q). An empty result means c_t is already a reverse-skyline
-// point of q. By Lemma 1, deleting Λ from P admits c_t.
-func (e *Engine) Explain(ct Item, q geom.Point) []Item {
-	return e.DB.WindowQuery(ct.Point, q, e.exclude(ct))
-}
-
-// ExplainCtx is Explain with deadline/cancellation support.
+// ExplainCtx answers aspect (1) of §III: it returns the products Λ that
+// keep c_t out of RSL(q). An empty result means c_t is already a
+// reverse-skyline point of q. By Lemma 1, deleting Λ from P admits c_t.
 func (e *Engine) ExplainCtx(ctx context.Context, ct Item, q geom.Point) ([]Item, error) {
 	chk, err := entry(ctx)
 	if err != nil {
@@ -194,19 +189,14 @@ type MWPResult struct {
 // cannot happen for results produced by MWP.
 func (r MWPResult) Best() Candidate { return r.Candidates[0] }
 
-// MWP implements Algorithm 1 (Modify Why-Not Point): it computes candidate
-// locations c_t* of minimal movement such that q enters the dynamic skyline
-// of c_t*. The construction works in the orientation-canonical frame (each
-// dimension flipped so that q lies above c_t), which reproduces the paper's
-// formulas exactly for their configuration and stays correct for arbitrary
-// relative positions.
-func (e *Engine) MWP(ct Item, q geom.Point, opt Options) MWPResult {
-	res, _ := e.mwp(nil, nil, ct, q, opt)
-	return res
-}
-
-// MWPCtx is MWP with deadline/cancellation support: the frontier extraction
-// (the only index-touching, potentially expensive step) carries checkpoints.
+// MWPCtx implements Algorithm 1 (Modify Why-Not Point): it computes
+// candidate locations c_t* of minimal movement such that q enters the
+// dynamic skyline of c_t*. The construction works in the
+// orientation-canonical frame (each dimension flipped so that q lies above
+// c_t), which reproduces the paper's formulas exactly for their
+// configuration and stays correct for arbitrary relative positions. The
+// frontier extraction (the only index-touching, potentially expensive step)
+// carries checkpoints.
 func (e *Engine) MWPCtx(ctx context.Context, ct Item, q geom.Point, opt Options) (MWPResult, error) {
 	chk, err := entry(ctx)
 	if err != nil {
@@ -417,16 +407,9 @@ func dedupCandidates(cands []Candidate) []Candidate {
 	return out
 }
 
-// ValidateWhyNotMove reports whether moving the why-not point to cand admits
-// it into RSL(q) after an ε-nudge toward q (candidates lie on the closure of
-// the valid region; see the package comment).
-func (e *Engine) ValidateWhyNotMove(ct Item, q geom.Point, cand geom.Point, eps float64) bool {
-	nudged := nudgeToward(cand, q, eps)
-	return !e.DB.WindowExists(nudged, q, e.exclude(ct))
-}
-
-// ValidateWhyNotMoveCtx is ValidateWhyNotMove with deadline/cancellation
-// support.
+// ValidateWhyNotMoveCtx reports whether moving the why-not point to cand
+// admits it into RSL(q) after an ε-nudge toward q (candidates lie on the
+// closure of the valid region; see the package comment).
 func (e *Engine) ValidateWhyNotMoveCtx(ctx context.Context, ct Item, q geom.Point, cand geom.Point, eps float64) (bool, error) {
 	chk, err := entry(ctx)
 	if err != nil {

@@ -1,6 +1,7 @@
 package whynot
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,6 +31,15 @@ func fig1Engine() *Engine {
 	return NewEngine(rskyline.NewDB(2, fig1(), rtree.Config{}), true)
 }
 
+// must unwraps an unchecked query: with a nil checker or a background
+// context no query can fail, so an error here is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func hasPoint(cands []Candidate, p geom.Point) bool {
 	for _, c := range cands {
 		if c.Point.ApproxEqual(p, 1e-9) {
@@ -43,11 +53,11 @@ func hasPoint(cands []Candidate, p geom.Point) bool {
 func TestMWPPaperExample(t *testing.T) {
 	e := fig1Engine()
 	c1 := Item{ID: 1, Point: geom.NewPoint(5, 30)}
-	res := e.MWP(c1, paperQ, Options{})
+	res := must(e.MWPCtx(context.Background(), c1, paperQ, Options{}))
 	if res.AlreadyMember {
 		t.Fatal("c1 must be a why-not point")
 	}
-	if lambda := e.Explain(c1, paperQ); len(lambda) != 1 || lambda[0].ID != 2 {
+	if lambda := must(e.ExplainCtx(context.Background(), c1, paperQ)); len(lambda) != 1 || lambda[0].ID != 2 {
 		t.Fatalf("Λ = %v, want [p2]", lambda)
 	}
 	if len(res.Frontier) != 1 || res.Frontier[0].ID != 2 {
@@ -63,7 +73,7 @@ func TestMWPPaperExample(t *testing.T) {
 	}
 	// Both candidates must actually admit c1 after the ε-nudge.
 	for _, c := range res.Candidates {
-		if !e.ValidateWhyNotMove(c1, paperQ, c.Point, 1e-9) {
+		if !must(e.ValidateWhyNotMoveCtx(context.Background(), c1, paperQ, c.Point, 1e-9)) {
 			t.Fatalf("candidate %v does not admit c1", c.Point)
 		}
 	}
@@ -73,7 +83,7 @@ func TestMWPPaperExample(t *testing.T) {
 func TestMQPPaperExample(t *testing.T) {
 	e := fig1Engine()
 	c1 := Item{ID: 1, Point: geom.NewPoint(5, 30)}
-	res := e.MQP(c1, paperQ, Options{})
+	res := must(e.MQPCtx(context.Background(), c1, paperQ, Options{}))
 	if len(res.Candidates) != 2 {
 		t.Fatalf("candidates = %v, want 2", res.Candidates)
 	}
@@ -88,7 +98,7 @@ func TestMQPPaperExample(t *testing.T) {
 		t.Fatalf("best MQP candidate = %v, want (7.5, 55)", res.Best().Point)
 	}
 	for _, c := range res.Candidates {
-		if !e.ValidateQueryMove(c1, c.Point, 1e-9) {
+		if !must(e.ValidateQueryMoveCtx(context.Background(), c1, c.Point, 1e-9)) {
 			t.Fatalf("candidate %v does not admit c1", c.Point)
 		}
 	}
@@ -104,11 +114,11 @@ func TestMQPPaperExample(t *testing.T) {
 func TestSafeRegionPaperExample(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
+	rsl := must(e.DB.ReverseSkylineCtx(context.Background(), customers, paperQ))
 	if len(rsl) != 5 {
 		t.Fatalf("|RSL(q)| = %d, want 5", len(rsl))
 	}
-	sr := e.SafeRegion(paperQ, rsl)
+	sr := must(e.SafeRegionCtx(context.Background(), paperQ, rsl))
 	want := region.Set{
 		geom.NewRect(geom.NewPoint(7.5, 50), geom.NewPoint(10, 70)),
 		geom.NewRect(geom.NewPoint(7.5, 50), geom.NewPoint(12.5, 54)),
@@ -135,8 +145,8 @@ func TestSafeRegionPaperExample(t *testing.T) {
 func TestSafeRegionPreservesRSLPaperData(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
-	sr := e.SafeRegion(paperQ, rsl)
+	rsl := must(e.DB.ReverseSkylineCtx(context.Background(), customers, paperQ))
+	sr := must(e.SafeRegionCtx(context.Background(), paperQ, rsl))
 	// Probe interior grid points of every safe-region rectangle (the closed
 	// boundary may weakly lose a customer by construction, so stay inside).
 	for _, r := range sr {
@@ -147,7 +157,7 @@ func TestSafeRegionPreservesRSLPaperData(t *testing.T) {
 					r.Lo[1]+fy*(r.Hi[1]-r.Lo[1]),
 				)
 				for _, c := range rsl {
-					if e.DB.WindowExists(c.Point, qs, c.ID) {
+					if must(e.DB.WindowExistsChecked(nil, c.Point, qs, c.ID)) {
 						t.Fatalf("moving q to %v loses customer %d", qs, c.ID)
 					}
 				}
@@ -161,7 +171,7 @@ func TestSafeRegionPreservesRSLPaperData(t *testing.T) {
 			qs := geom.NewPoint(x, y)
 			safe := true
 			for _, c := range rsl {
-				if e.DB.WindowExists(c.Point, qs, c.ID) {
+				if must(e.DB.WindowExistsChecked(nil, c.Point, qs, c.ID)) {
 					safe = false
 					break
 				}
@@ -181,9 +191,9 @@ func TestSafeRegionPreservesRSLPaperData(t *testing.T) {
 func TestMWQPaperExampleC7(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
+	rsl := must(e.DB.ReverseSkylineCtx(context.Background(), customers, paperQ))
 	c7 := Item{ID: 7, Point: geom.NewPoint(26, 70)}
-	res := e.MWQExact(c7, paperQ, rsl, Options{})
+	res := must(e.MWQExactCtx(context.Background(), c7, paperQ, rsl, Options{}))
 	if res.Case != CaseOverlap {
 		t.Fatalf("case = %v, want C1 (overlap)", res.Case)
 	}
@@ -200,11 +210,11 @@ func TestMWQPaperExampleC7(t *testing.T) {
 	// q* is the infimum on the closed overlap boundary; verify after an
 	// ε-move into the overlap interior: it admits c7 and keeps all of RSL(q).
 	qn := res.Overlap.InteriorNudge(res.QStar, 1e-9)
-	if e.DB.WindowExists(c7.Point, qn, 7) {
+	if must(e.DB.WindowExistsChecked(nil, c7.Point, qn, 7)) {
 		t.Fatal("q* does not admit c7")
 	}
 	for _, c := range rsl {
-		if e.DB.WindowExists(c.Point, qn, c.ID) {
+		if must(e.DB.WindowExistsChecked(nil, c.Point, qn, c.ID)) {
 			t.Fatalf("q* loses existing customer %d", c.ID)
 		}
 	}
@@ -217,9 +227,9 @@ func TestMWQPaperExampleC7(t *testing.T) {
 func TestMWQPaperExampleC1(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
+	rsl := must(e.DB.ReverseSkylineCtx(context.Background(), customers, paperQ))
 	c1 := Item{ID: 1, Point: geom.NewPoint(5, 30)}
-	res := e.MWQExact(c1, paperQ, rsl, Options{})
+	res := must(e.MWQExactCtx(context.Background(), c1, paperQ, rsl, Options{}))
 	if res.Case != CaseDisjoint {
 		t.Fatalf("case = %v, want C2 (disjoint)", res.Case)
 	}
@@ -229,7 +239,7 @@ func TestMWQPaperExampleC1(t *testing.T) {
 	if !hasPoint(res.QCandidates, geom.NewPoint(7.5, 50)) {
 		t.Fatalf("paper corner (7.5, 50) missing from q* candidates %v", res.QCandidates)
 	}
-	paperMove := e.MWP(c1, geom.NewPoint(7.5, 50), Options{})
+	paperMove := must(e.MWPCtx(context.Background(), c1, geom.NewPoint(7.5, 50), Options{}))
 	if !hasPoint(paperMove.Candidates, geom.NewPoint(5, 46)) {
 		t.Fatalf("missing paper candidate (5, 46) in %v", paperMove.Candidates)
 	}
@@ -250,17 +260,17 @@ func TestMWQPaperExampleC1(t *testing.T) {
 	if !res.SafeRegion.Contains(res.QStar) {
 		t.Fatal("q* must stay inside the safe region")
 	}
-	if !e.ValidateWhyNotMove(c1, res.QStar, res.CtStar, 1e-9) {
+	if !must(e.ValidateWhyNotMoveCtx(context.Background(), c1, res.QStar, res.CtStar, 1e-9)) {
 		t.Fatalf("c1* = %v does not admit c1 against q* = %v", res.CtStar, res.QStar)
 	}
 	qn := res.SafeRegion.InteriorNudge(res.QStar, 1e-9)
 	for _, c := range rsl {
-		if e.DB.WindowExists(c.Point, qn, c.ID) {
+		if must(e.DB.WindowExistsChecked(nil, c.Point, qn, c.ID)) {
 			t.Fatalf("q* loses existing customer %d", c.ID)
 		}
 	}
 	// MWQ never costs more than MWP (the paper's headline comparison).
-	mwp := e.MWP(c1, paperQ, Options{})
+	mwp := must(e.MWPCtx(context.Background(), c1, paperQ, Options{}))
 	if res.Cost > mwp.Best().Cost+1e-12 {
 		t.Fatalf("MWQ cost %v exceeds MWP cost %v", res.Cost, mwp.Best().Cost)
 	}
@@ -269,19 +279,19 @@ func TestMWQPaperExampleC1(t *testing.T) {
 func TestAlreadyMemberShortCircuits(t *testing.T) {
 	e := fig1Engine()
 	c2 := Item{ID: 2, Point: geom.NewPoint(7.5, 42)}
-	if got := e.Explain(c2, paperQ); len(got) != 0 {
+	if got := must(e.ExplainCtx(context.Background(), c2, paperQ)); len(got) != 0 {
 		t.Fatalf("Explain for a member = %v, want empty", got)
 	}
-	mwp := e.MWP(c2, paperQ, Options{})
+	mwp := must(e.MWPCtx(context.Background(), c2, paperQ, Options{}))
 	if !mwp.AlreadyMember || mwp.Best().Cost != 0 || !mwp.Best().Point.Equal(c2.Point) {
 		t.Fatalf("MWP for member = %+v", mwp)
 	}
-	mqp := e.MQP(c2, paperQ, Options{})
+	mqp := must(e.MQPCtx(context.Background(), c2, paperQ, Options{}))
 	if !mqp.AlreadyMember || mqp.Best().Cost != 0 {
 		t.Fatalf("MQP for member = %+v", mqp)
 	}
-	rsl := e.DB.ReverseSkyline(fig1(), paperQ)
-	mwq := e.MWQExact(c2, paperQ, rsl, Options{})
+	rsl := must(e.DB.ReverseSkylineCtx(context.Background(), fig1(), paperQ))
+	mwq := must(e.MWQExactCtx(context.Background(), c2, paperQ, rsl, Options{}))
 	if !mwq.AlreadyMember || mwq.Cost != 0 {
 		t.Fatalf("MWQ for member = %+v", mwq)
 	}
@@ -307,13 +317,13 @@ func TestMWPValidityRandom(t *testing.T) {
 		for trial := 0; trial < 60 && tested < 15; trial++ {
 			q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 			ct := products[rng.Intn(len(products))]
-			res := e.MWP(ct, q, Options{})
+			res := must(e.MWPCtx(context.Background(), ct, q, Options{}))
 			if res.AlreadyMember {
 				continue
 			}
 			tested++
 			for _, cand := range res.Candidates {
-				if !e.ValidateWhyNotMove(ct, q, cand.Point, 1e-7) {
+				if !must(e.ValidateWhyNotMoveCtx(context.Background(), ct, q, cand.Point, 1e-7)) {
 					t.Fatalf("seed %d: invalid MWP candidate %v for ct=%v q=%v",
 						seed, cand.Point, ct.Point, q)
 				}
@@ -342,13 +352,13 @@ func TestMQPValidityRandom(t *testing.T) {
 		for trial := 0; trial < 60 && tested < 15; trial++ {
 			q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 			ct := products[rng.Intn(len(products))]
-			res := e.MQP(ct, q, Options{})
+			res := must(e.MQPCtx(context.Background(), ct, q, Options{}))
 			if res.AlreadyMember {
 				continue
 			}
 			tested++
 			for _, cand := range res.Candidates {
-				if !e.ValidateQueryMove(ct, cand.Point, 1e-7) {
+				if !must(e.ValidateQueryMoveCtx(context.Background(), ct, cand.Point, 1e-7)) {
 					t.Fatalf("seed %d: invalid MQP candidate %v for ct=%v q=%v",
 						seed, cand.Point, ct.Point, q)
 				}
@@ -370,16 +380,16 @@ func TestMWQSoundnessRandom(t *testing.T) {
 		tested := 0
 		for trial := 0; trial < 40 && tested < 6; trial++ {
 			q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-			rsl := e.DB.ReverseSkyline(products, q)
+			rsl := must(e.DB.ReverseSkylineCtx(context.Background(), products, q))
 			if len(rsl) == 0 || len(rsl) > 12 {
 				continue
 			}
 			ct := products[rng.Intn(len(products))]
-			if !e.DB.WindowExists(ct.Point, q, ct.ID) {
+			if !must(e.DB.WindowExistsChecked(nil, ct.Point, q, ct.ID)) {
 				continue // already a member
 			}
 			tested++
-			res := e.MWQExact(ct, q, rsl, Options{})
+			res := must(e.MWQExactCtx(context.Background(), ct, q, rsl, Options{}))
 			// q* is an infimum on the closed safe-region boundary; after an
 			// ε-move into the region interior it must preserve every
 			// existing reverse-skyline customer.
@@ -388,7 +398,7 @@ func TestMWQSoundnessRandom(t *testing.T) {
 				qn = res.Overlap.InteriorNudge(res.QStar, 1e-9)
 			}
 			for _, c := range rsl {
-				if e.DB.WindowExists(c.Point, qn, c.ID) {
+				if must(e.DB.WindowExistsChecked(nil, c.Point, qn, c.ID)) {
 					t.Fatalf("seed %d: MWQ q*=%v loses customer %d (case %v)",
 						seed, res.QStar, c.ID, res.Case)
 				}
@@ -398,15 +408,15 @@ func TestMWQSoundnessRandom(t *testing.T) {
 				if res.Cost != 0 {
 					t.Fatalf("seed %d: C1 with non-zero cost %v", seed, res.Cost)
 				}
-				if e.DB.WindowExists(ct.Point, qn, ct.ID) {
+				if must(e.DB.WindowExistsChecked(nil, ct.Point, qn, ct.ID)) {
 					t.Fatalf("seed %d: C1 q*=%v does not admit ct=%v", seed, res.QStar, ct.Point)
 				}
 			case CaseDisjoint:
-				if !e.ValidateWhyNotMove(ct, res.QStar, res.CtStar, 1e-7) {
+				if !must(e.ValidateWhyNotMoveCtx(context.Background(), ct, res.QStar, res.CtStar, 1e-7)) {
 					t.Fatalf("seed %d: C2 ct*=%v invalid against q*=%v", seed, res.CtStar, res.QStar)
 				}
 				// MWQ ≤ MWP.
-				mwp := e.MWP(ct, q, Options{})
+				mwp := must(e.MWPCtx(context.Background(), ct, q, Options{}))
 				if res.Cost > mwp.Best().Cost+1e-9 {
 					t.Fatalf("seed %d: MWQ cost %v > MWP cost %v", seed, res.Cost, mwp.Best().Cost)
 				}
@@ -423,18 +433,18 @@ func TestMWQSoundnessRandom(t *testing.T) {
 func TestApproxSafeRegionSubset(t *testing.T) {
 	products := randProducts(400, 999)
 	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
-	store := e.BuildApproxStore(products, 5, 0)
+	store := must(e.BuildApproxStoreCtx(context.Background(), products, 5, 0))
 	rng := rand.New(rand.NewSource(1000))
 	tested := 0
 	for trial := 0; trial < 40 && tested < 8; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := e.DB.ReverseSkyline(products, q)
+		rsl := must(e.DB.ReverseSkylineCtx(context.Background(), products, q))
 		if len(rsl) == 0 || len(rsl) > 10 {
 			continue
 		}
 		tested++
-		exact := e.SafeRegion(q, rsl)
-		approx := e.ApproxSafeRegion(q, rsl, store)
+		exact := must(e.SafeRegionCtx(context.Background(), q, rsl))
+		approx := must(e.ApproxSafeRegionCtx(context.Background(), q, rsl, store))
 		inter := approx.IntersectSet(exact)
 		if math.Abs(inter.Area()-approx.Area()) > 1e-6*(1+approx.Area()) {
 			t.Fatalf("approx SR (area %v) not a subset of exact SR (overlap %v)",
@@ -453,22 +463,22 @@ func TestApproxSafeRegionSubset(t *testing.T) {
 func TestApproxMWQNeverWorseThanMWP(t *testing.T) {
 	products := randProducts(300, 555)
 	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
-	store := e.BuildApproxStore(products, 5, 0)
+	store := must(e.BuildApproxStoreCtx(context.Background(), products, 5, 0))
 	rng := rand.New(rand.NewSource(556))
 	tested := 0
 	for trial := 0; trial < 60 && tested < 8; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		rsl := e.DB.ReverseSkyline(products, q)
+		rsl := must(e.DB.ReverseSkylineCtx(context.Background(), products, q))
 		if len(rsl) == 0 || len(rsl) > 10 {
 			continue
 		}
 		ct := products[rng.Intn(len(products))]
-		if !e.DB.WindowExists(ct.Point, q, ct.ID) {
+		if !must(e.DB.WindowExistsChecked(nil, ct.Point, q, ct.ID)) {
 			continue
 		}
 		tested++
-		approx := e.MWQApprox(ct, q, rsl, store, Options{})
-		mwp := e.MWP(ct, q, Options{})
+		approx := must(e.MWQApproxCtx(context.Background(), ct, q, rsl, store, Options{}))
+		mwp := must(e.MWPCtx(context.Background(), ct, q, Options{}))
 		if approx.Cost > mwp.Best().Cost+1e-9 {
 			t.Fatalf("Approx-MWQ cost %v worse than MWP %v", approx.Cost, mwp.Best().Cost)
 		}
@@ -481,24 +491,24 @@ func TestApproxMWQNeverWorseThanMWP(t *testing.T) {
 func TestMQPTotalCost(t *testing.T) {
 	e := fig1Engine()
 	customers := fig1()
-	rsl := e.DB.ReverseSkyline(customers, paperQ)
-	sr := e.SafeRegion(paperQ, rsl)
+	rsl := must(e.DB.ReverseSkylineCtx(context.Background(), customers, paperQ))
+	sr := must(e.SafeRegionCtx(context.Background(), paperQ, rsl))
 	// Moving q inside its safe region costs nothing.
 	inside := geom.NewPoint(8.5, 55)
-	if got := e.MQPTotalCost(paperQ, inside, rsl, sr, Options{}); got != 0 {
+	if got := must(e.MQPTotalCostCtx(context.Background(), paperQ, inside, rsl, sr, Options{})); got != 0 {
 		t.Fatalf("cost of staying = %v, want 0", got)
 	}
 	// A drastic move away loses customers and costs more than the plain
 	// α-distance from the safe region.
 	far := geom.NewPoint(26, 20)
-	cost := e.MQPTotalCost(paperQ, far, rsl, sr, Options{})
+	cost := must(e.MQPTotalCostCtx(context.Background(), paperQ, far, rsl, sr, Options{}))
 	pNear, _, _ := sr.NearestPoint(far, nil)
 	base := e.costQ(pNear, far, Options{})
 	if cost < base {
 		t.Fatalf("total cost %v below α-term %v", cost, base)
 	}
 	// Nil safe region charges from q itself.
-	costNil := e.MQPTotalCost(paperQ, far, rsl, nil, Options{})
+	costNil := must(e.MQPTotalCostCtx(context.Background(), paperQ, far, rsl, nil, Options{}))
 	if costNil < e.costQ(paperQ, far, Options{}) {
 		t.Fatalf("nil-SR cost %v below |q−q*|", costNil)
 	}
@@ -515,13 +525,13 @@ func TestMWPHigherDimensional(t *testing.T) {
 	for trial := 0; trial < 60 && tested < 10; trial++ {
 		q := geom.NewPoint(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)
 		ct := items[rng.Intn(len(items))]
-		res := e.MWP(ct, q, Options{})
+		res := must(e.MWPCtx(context.Background(), ct, q, Options{}))
 		if res.AlreadyMember {
 			continue
 		}
 		tested++
 		for _, cand := range res.Candidates {
-			if !e.ValidateWhyNotMove(ct, q, cand.Point, 1e-7) {
+			if !must(e.ValidateWhyNotMoveCtx(context.Background(), ct, q, cand.Point, 1e-7)) {
 				t.Fatalf("3-d MWP candidate %v invalid (ct=%v q=%v)", cand.Point, ct.Point, q)
 			}
 		}

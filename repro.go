@@ -125,8 +125,9 @@ type FingerprintClass = explain.ClassSnapshot
 // queries and why-not questions over it.
 type DB struct {
 	engine *whynot.Engine
-	// workers is the configured parallelism: 0 means GOMAXPROCS, 1 means
-	// fully sequential execution (the default).
+	// workers is the resolved fan-out width of the per-customer loops
+	// (exec.Width of DBOptions.Parallelism, so always >= 1; 1 is the
+	// sequential default). It rides every query context entering the DB.
 	workers int
 	// reg and pool are non-nil only when DBOptions.Observability is set; every
 	// obs type is nil-safe, so the disabled state needs no branches below.
@@ -155,11 +156,11 @@ type DB struct {
 // reference configuration. The zero value preserves that reference behaviour
 // exactly: sequential execution, no caching.
 type DBOptions struct {
-	// Parallelism is the worker count for the parallelisable per-customer
-	// loops (reverse skylines, safe-region construction, batch why-not
-	// answering, approximate-store builds). 0 or 1 runs sequentially — the
-	// paper's reference behaviour; n > 1 uses n workers; negative means
-	// GOMAXPROCS.
+	// Parallelism is the fan-out width of the per-customer loops (reverse
+	// skylines, safe-region construction, batch why-not answering,
+	// approximate-store builds). 0 or 1 runs sequentially — the paper's
+	// reference behaviour; n > 1 uses n workers; negative means GOMAXPROCS.
+	// Answers and cost counters are identical at every width.
 	Parallelism int
 	// CacheSize bounds the memoisation caches for per-customer dynamic
 	// skylines and anti-dominance regions (entries each). 0 disables
@@ -200,16 +201,9 @@ func NewDBWithOptions(dims int, products []Item, opts DBOptions) *DB {
 		rdb.EnableDSLCache(opts.CacheSize)
 		engine.EnableAntiDDRCache(opts.CacheSize)
 	}
-	workers := opts.Parallelism
-	switch {
-	case workers < 0:
-		workers = 0 // internal layers read 0 as GOMAXPROCS
-	case workers == 0:
-		workers = 1 // zero value: the paper's sequential reference behaviour
-	}
 	db := &DB{
 		engine:       engine,
-		workers:      workers,
+		workers:      exec.Width(opts.Parallelism),
 		explainModel: explain.NewModel(),
 		fingerprints: explain.NewStore(0),
 	}
@@ -354,12 +348,16 @@ func (db *DB) MWPExplain(ctx context.Context, ct Item, q Point, opt Options) (MW
 	return res, finish(""), err
 }
 
-// obsCtx instruments a context entering this DB: worker-pool metrics ride it
-// into every exec.ForEach fan-out below. The per-op counter and latency
-// histogram are recorded by the returned finish func (nil-safe when off),
-// and with the flight recorder on each entry gets its own QueryRecord whose
-// trace rides the context (unless the caller already supplied one).
+// obsCtx prepares a context entering this DB: the configured fan-out width
+// and, with observability on, the worker-pool metrics ride it into every
+// exec.ForEach below. The per-op counter and latency histogram are recorded
+// by the returned finish func (nil-safe when off), and with the flight
+// recorder on each entry gets its own QueryRecord whose trace rides the
+// context (unless the caller already supplied one).
 func (db *DB) obsCtx(ctx context.Context, op string) (context.Context, func()) {
+	if exec.Workers(ctx) != db.workers {
+		ctx = exec.WithWorkers(ctx, db.workers)
+	}
 	if db.reg == nil && db.flight == nil {
 		return ctx, func() {}
 	}
@@ -415,8 +413,9 @@ func (c Cost) Sub(o Cost) Cost {
 	}
 }
 
-// Workers returns the resolved parallelism in the internal convention:
-// 0 = GOMAXPROCS, 1 = sequential, n > 1 = n worker goroutines.
+// Workers returns the resolved fan-out width: 1 runs sequentially, n > 1
+// fans the per-customer loops out over n goroutines (a negative
+// DBOptions.Parallelism resolves to GOMAXPROCS).
 func (db *DB) Workers() int { return db.workers }
 
 // Insert adds a product to the index and invalidates every derived cache
@@ -465,116 +464,85 @@ func (db *DB) Len() int { return db.engine.DB.Len() }
 // Dims returns the dimensionality.
 func (db *DB) Dims() int { return db.engine.DB.Dims() }
 
+// --- Context-free API ------------------------------------------------------
+//
+// Each method below is its XxxContext form run under context.Background(),
+// which can never be cancelled, so the dropped error is always nil.
+
+// value drops the always-nil error of a background-context call.
+func value[T any](v T, _ error) T { return v }
+
 // DynamicSkyline returns DSL(c): the products not dynamically dominated with
 // respect to the preference point c (Definition 2).
 func (db *DB) DynamicSkyline(c Point) []Item {
-	return db.engine.DB.DynamicSkyline(c)
+	return value(db.DynamicSkylineContext(context.Background(), c))
 }
 
 // ReverseSkyline returns RSL(q) over the given customers: those whose dynamic
-// skyline contains q (Definition 3). With Parallelism configured the
-// per-customer verification runs on the worker pool; results are identical.
+// skyline contains q (Definition 3).
 func (db *DB) ReverseSkyline(customers []Item, q Point) []Item {
-	ctx, done := db.obsCtx(context.Background(), "rsl")
-	defer done()
-	if db.workers != 1 {
-		out, _ := db.engine.DB.ReverseSkylineFilteredParallel(ctx, customers, q, db.workers)
-		return out
-	}
-	return db.engine.DB.ReverseSkylineFiltered(customers, q)
+	return value(db.ReverseSkylineContext(context.Background(), customers, q))
 }
 
 // IsReverseSkyline reports whether customer c belongs to RSL(q).
 func (db *DB) IsReverseSkyline(c Item, q Point) bool {
-	return db.engine.DB.IsReverseSkyline(c, q)
+	return value(db.IsReverseSkylineContext(context.Background(), c, q))
 }
 
 // Explain returns the culprit products whose presence keeps c_t out of
 // RSL(q); empty means c_t is already a reverse-skyline point.
 func (db *DB) Explain(ct Item, q Point) []Item {
-	return db.engine.Explain(ct, q)
+	return value(db.ExplainContext(context.Background(), ct, q))
 }
 
 // MWP modifies the why-not point: candidate minimal moves of c_t that put q
 // into its dynamic skyline (Algorithm 1).
 func (db *DB) MWP(ct Item, q Point, opt Options) MWPResult {
-	return db.engine.MWP(ct, q, opt)
+	return value(db.MWPContext(context.Background(), ct, q, opt))
 }
 
 // MQP modifies the query point: candidate minimal moves of q that put c_t
 // into RSL(q*) (Algorithm 2). Existing customers may be lost; use
 // MQPTotalCost to charge their restoration.
 func (db *DB) MQP(ct Item, q Point, opt Options) MQPResult {
-	return db.engine.MQP(ct, q, opt)
+	return value(db.MQPContext(context.Background(), ct, q, opt))
 }
 
 // MQPTotalCost is the §VI.A experimental cost of a refined query point:
 // distance from the safe region plus the MWP cost of winning back every lost
 // customer.
 func (db *DB) MQPTotalCost(q, qStar Point, rsl []Item, sr Region, opt Options) float64 {
-	return db.engine.MQPTotalCost(q, qStar, rsl, sr, opt)
+	return value(db.MQPTotalCostContext(context.Background(), q, qStar, rsl, sr, opt))
 }
 
 // SafeRegion computes the exact safe region of q (Algorithm 3): the locus of
 // query positions that keep every customer of rsl in the reverse skyline.
-// With Parallelism configured the per-customer anti-dominance regions are
-// built on the worker pool; results are identical.
 func (db *DB) SafeRegion(q Point, rsl []Item) Region {
-	ctx, done := db.obsCtx(context.Background(), "saferegion")
-	defer done()
-	if db.workers != 1 {
-		sr, _ := db.engine.SafeRegionParallel(ctx, q, rsl, db.workers)
-		return sr
-	}
-	return db.engine.SafeRegion(q, rsl)
+	return value(db.SafeRegionContext(context.Background(), q, rsl))
 }
 
 // AntiDominanceRegion returns the anti-DDR of a customer as rectangles
 // (Fig. 10): q lies inside it iff the customer is in RSL(q).
 func (db *DB) AntiDominanceRegion(c Item) Region {
-	return db.engine.AntiDDROf(c)
+	return value(db.AntiDominanceRegionContext(context.Background(), c))
 }
 
 // MWQ answers the why-not question with both-point modification under a
 // precomputed safe region (Algorithm 4).
 func (db *DB) MWQ(ct Item, q Point, sr Region, opt Options) MWQResult {
-	return db.engine.MWQ(ct, q, sr, opt)
+	return value(db.MWQContext(context.Background(), ct, q, sr, opt))
 }
 
-// MWQExact computes the safe region and answers the why-not question. With
-// Parallelism configured the safe-region construction runs on the worker
-// pool; results are identical.
+// MWQExact computes the safe region and answers the why-not question.
 func (db *DB) MWQExact(ct Item, q Point, rsl []Item, opt Options) MWQResult {
-	ctx, done := db.obsCtx(context.Background(), "mwq")
-	defer done()
-	if db.workers != 1 {
-		res, _ := db.engine.MWQExactParallelCtx(ctx, ct, q, rsl, opt, db.workers)
-		return res
-	}
-	return db.engine.MWQExact(ct, q, rsl, opt)
+	return value(db.MWQExactContext(context.Background(), ct, q, rsl, opt))
 }
 
 // MWQBatch answers one why-not question per customer against the same query
 // point, computing the safe region once (§VI.B's reuse property). Results
-// align positionally with cts. With Parallelism configured both the
-// safe-region construction and the per-question loop run on the worker pool.
+// align positionally with cts.
 func (db *DB) MWQBatch(cts []Item, q Point, rsl []Item, opt Options) []MWQResult {
-	ctx, done := db.obsCtx(context.Background(), "mwq-batch")
-	defer done()
-	if db.workers != 1 {
-		sr, err := db.engine.SafeRegionParallel(ctx, q, rsl, db.workers)
-		if err != nil {
-			return nil
-		}
-		return db.engine.MWQBatchParallel(cts, q, sr, opt, db.workers)
-	}
-	return db.engine.MWQBatch(cts, q, rsl, opt)
-}
-
-// MWQBatchParallel runs a batch of why-not questions against a shared safe
-// region on worker goroutines (0 = GOMAXPROCS).
-func (db *DB) MWQBatchParallel(cts []Item, q Point, sr Region, opt Options, workers int) []MWQResult {
-	return db.engine.MWQBatchParallel(cts, q, sr, opt, workers)
+	return value(db.MWQBatchContext(context.Background(), cts, q, rsl, opt))
 }
 
 // TruncateSafeRegion clips a safe region to a feature-limit box (§V.B):
@@ -593,24 +561,13 @@ func ExpandSafeRegion(limits Rect) Region {
 // LostCustomers returns the members of rsl that would leave the reverse
 // skyline if q moved to qStar.
 func (db *DB) LostCustomers(qStar Point, rsl []Item) []Item {
-	return db.engine.LostCustomers(qStar, rsl)
+	return value(db.LostCustomersContext(context.Background(), qStar, rsl))
 }
 
 // BuildApproxStore precomputes k-sampled dynamic skylines for the given
-// customers (the offline step of §VI.B.1). With Parallelism configured the
-// per-customer precomputation runs on the worker pool.
+// customers (the offline step of §VI.B.1).
 func (db *DB) BuildApproxStore(customers []Item, k int) *ApproxStore {
-	if db.workers != 1 {
-		return db.engine.BuildApproxStoreParallel(customers, k, 0, db.workers)
-	}
-	return db.engine.BuildApproxStore(customers, k, 0)
-}
-
-// BuildApproxStoreParallel is BuildApproxStore fanned out over worker
-// goroutines (0 = GOMAXPROCS); the index is only read, so results are
-// identical.
-func (db *DB) BuildApproxStoreParallel(customers []Item, k, workers int) *ApproxStore {
-	return db.engine.BuildApproxStoreParallel(customers, k, 0, workers)
+	return value(db.BuildApproxStoreContext(context.Background(), customers, k))
 }
 
 // LoadApproxStore reads a store previously written with ApproxStore.Save.
@@ -620,34 +577,27 @@ func LoadApproxStore(r io.Reader) (*ApproxStore, error) {
 
 // ReverseSkylineBBRS computes RSL(q) in the monochromatic setting (customer
 // preferences are the product records themselves) with the index-based BBRS
-// pipeline of Dellis & Seeger. With Parallelism configured the per-candidate
-// verification runs on the worker pool; results are identical.
+// pipeline of Dellis & Seeger.
 func (db *DB) ReverseSkylineBBRS(q Point) []Item {
-	ctx, done := db.obsCtx(context.Background(), "rsl-bbrs")
-	defer done()
-	if db.workers != 1 {
-		out, _ := db.engine.DB.ReverseSkylineBBRSParallel(ctx, q, db.workers)
-		return out
-	}
-	return db.engine.DB.ReverseSkylineBBRS(q)
+	return value(db.ReverseSkylineBBRSContext(context.Background(), q))
 }
 
 // MWQApprox answers the why-not question using the approximate safe region
 // assembled from the store: much faster, never worse than MWP.
 func (db *DB) MWQApprox(ct Item, q Point, rsl []Item, store *ApproxStore, opt Options) MWQResult {
-	return db.engine.MWQApprox(ct, q, rsl, store, opt)
+	return value(db.MWQApproxContext(context.Background(), ct, q, rsl, store, opt))
 }
 
 // ValidateWhyNotMove verifies an MWP candidate with a real window query
 // after an ε-nudge toward q (candidates are infima on the valid region's
 // boundary).
 func (db *DB) ValidateWhyNotMove(ct Item, q Point, cand Point, eps float64) bool {
-	return db.engine.ValidateWhyNotMove(ct, q, cand, eps)
+	return value(db.ValidateWhyNotMoveContext(context.Background(), ct, q, cand, eps))
 }
 
 // ValidateQueryMove verifies an MQP candidate likewise.
 func (db *DB) ValidateQueryMove(ct Item, cand Point, eps float64) bool {
-	return db.engine.ValidateQueryMove(ct, cand, eps)
+	return value(db.ValidateQueryMoveContext(context.Background(), ct, cand, eps))
 }
 
 // Engine exposes the underlying why-not engine for advanced use (custom
@@ -679,6 +629,10 @@ func (db *DB) CacheStats() CacheStats {
 // call boundary returns immediately with zero algorithmic work — no index
 // node is touched. Errors unwrap to context.Canceled or
 // context.DeadlineExceeded via errors.Is.
+//
+// The per-customer loops (reverse skylines, safe regions, batches, store
+// builds) fan out over DBOptions.Parallelism goroutines: the width rides the
+// context, and answers and cost counters are identical at every width.
 
 // wrapCtxErr stamps query-stack errors with the public package and operation
 // name so a caller several layers up can tell which query timed out.
@@ -720,15 +674,10 @@ func (db *DB) ReverseSkylineContext(ctx context.Context, customers []Item, q Poi
 	const op = "reverse skyline"
 	ctx, done := db.obsCtx(ctx, "rsl")
 	defer done()
-	chk, err := begin(ctx, op)
-	if err != nil {
+	if _, err := begin(ctx, op); err != nil {
 		return nil, err
 	}
-	if db.workers != 1 {
-		out, err := db.engine.DB.ReverseSkylineFilteredParallel(ctx, customers, q, db.workers)
-		return out, wrapCtxErr(op, err)
-	}
-	out, err := db.engine.DB.ReverseSkylineFilteredChecked(chk, customers, q)
+	out, err := db.engine.DB.ReverseSkylineFilteredCtx(ctx, customers, q)
 	return out, wrapCtxErr(op, err)
 }
 
@@ -750,15 +699,10 @@ func (db *DB) ReverseSkylineBBRSContext(ctx context.Context, q Point) ([]Item, e
 	const op = "reverse skyline (BBRS)"
 	ctx, done := db.obsCtx(ctx, "rsl-bbrs")
 	defer done()
-	chk, err := begin(ctx, op)
-	if err != nil {
+	if _, err := begin(ctx, op); err != nil {
 		return nil, err
 	}
-	if db.workers != 1 {
-		out, err := db.engine.DB.ReverseSkylineBBRSParallel(ctx, q, db.workers)
-		return out, wrapCtxErr(op, err)
-	}
-	out, err := db.engine.DB.ReverseSkylineBBRSChecked(chk, q)
+	out, err := db.engine.DB.ReverseSkylineBBRSCtx(ctx, q)
 	return out, wrapCtxErr(op, err)
 }
 
@@ -798,10 +742,6 @@ func (db *DB) MQPTotalCostContext(ctx context.Context, q, qStar Point, rsl []Ite
 func (db *DB) SafeRegionContext(ctx context.Context, q Point, rsl []Item) (Region, error) {
 	ctx, done := db.obsCtx(ctx, "saferegion")
 	defer done()
-	if db.workers != 1 {
-		sr, err := db.engine.SafeRegionParallel(ctx, q, rsl, db.workers)
-		return sr, wrapCtxErr("safe region", err)
-	}
 	sr, err := db.engine.SafeRegionCtx(ctx, q, rsl)
 	return sr, wrapCtxErr("safe region", err)
 }
@@ -834,10 +774,6 @@ func (db *DB) MWQContext(ctx context.Context, ct Item, q Point, sr Region, opt O
 func (db *DB) MWQExactContext(ctx context.Context, ct Item, q Point, rsl []Item, opt Options) (MWQResult, error) {
 	ctx, done := db.obsCtx(ctx, "mwq")
 	defer done()
-	if db.workers != 1 {
-		res, err := db.engine.MWQExactParallelCtx(ctx, ct, q, rsl, opt, db.workers)
-		return res, wrapCtxErr("exact MWQ", err)
-	}
 	res, err := db.engine.MWQExactCtx(ctx, ct, q, rsl, opt)
 	return res, wrapCtxErr("exact MWQ", err)
 }
@@ -850,21 +786,13 @@ func (db *DB) MWQApproxContext(ctx context.Context, ct Item, q Point, rsl []Item
 	return res, wrapCtxErr("approximate MWQ", err)
 }
 
-// MWQBatchContext is MWQBatch with deadline/cancellation support.
+// MWQBatchContext is MWQBatch with deadline/cancellation support; a panic in
+// any worker is re-raised on the calling goroutine.
 func (db *DB) MWQBatchContext(ctx context.Context, cts []Item, q Point, rsl []Item, opt Options) ([]MWQResult, error) {
 	ctx, done := db.obsCtx(ctx, "mwq-batch")
 	defer done()
 	out, err := db.engine.MWQBatchCtx(ctx, cts, q, rsl, opt)
 	return out, wrapCtxErr("MWQ batch", err)
-}
-
-// MWQBatchParallelContext is MWQBatchParallel with deadline/cancellation
-// support; a panic in any worker is re-raised on the calling goroutine.
-func (db *DB) MWQBatchParallelContext(ctx context.Context, cts []Item, q Point, sr Region, opt Options, workers int) ([]MWQResult, error) {
-	ctx, done := db.obsCtx(ctx, "mwq-batch")
-	defer done()
-	out, err := db.engine.MWQBatchParallelCtx(ctx, cts, q, sr, opt, workers)
-	return out, wrapCtxErr("parallel MWQ batch", err)
 }
 
 // LostCustomersContext is LostCustomers with deadline/cancellation support.
@@ -880,15 +808,6 @@ func (db *DB) BuildApproxStoreContext(ctx context.Context, customers []Item, k i
 	defer done()
 	store, err := db.engine.BuildApproxStoreCtx(ctx, customers, k, 0)
 	return store, wrapCtxErr("approx store build", err)
-}
-
-// BuildApproxStoreParallelContext is BuildApproxStoreParallel with
-// deadline/cancellation support.
-func (db *DB) BuildApproxStoreParallelContext(ctx context.Context, customers []Item, k, workers int) (*ApproxStore, error) {
-	ctx, done := db.obsCtx(ctx, "buildstore")
-	defer done()
-	store, err := db.engine.BuildApproxStoreParallelCtx(ctx, customers, k, 0, workers)
-	return store, wrapCtxErr("parallel approx store build", err)
 }
 
 // ValidateWhyNotMoveContext is ValidateWhyNotMove with deadline/cancellation

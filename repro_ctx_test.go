@@ -90,20 +90,12 @@ func TestContextAPIPreCancelled(t *testing.T) {
 			_, err := db.MWQBatchContext(c, []Item{ct}, q, rsl, Options{})
 			return err
 		}},
-		{"MWQBatchParallelContext", func(c context.Context) error {
-			_, err := db.MWQBatchParallelContext(c, []Item{ct}, q, sr, Options{}, 2)
-			return err
-		}},
 		{"LostCustomersContext", func(c context.Context) error {
 			_, err := db.LostCustomersContext(c, ct.Point, rsl)
 			return err
 		}},
 		{"BuildApproxStoreContext", func(c context.Context) error {
 			_, err := db.BuildApproxStoreContext(c, rsl, 5)
-			return err
-		}},
-		{"BuildApproxStoreParallelContext", func(c context.Context) error {
-			_, err := db.BuildApproxStoreParallelContext(c, rsl, 5, 2)
 			return err
 		}},
 		{"ValidateWhyNotMoveContext", func(c context.Context) error {

@@ -200,7 +200,8 @@ func TestFacadeWideSurface(t *testing.T) {
 	if len(batch) != 2 {
 		t.Fatalf("batch = %d results", len(batch))
 	}
-	parallel := db.MWQBatchParallel([]Item{c1, c7}, q, sr, Options{}, 2)
+	wide := NewDBWithOptions(2, products, DBOptions{Parallelism: 2})
+	parallel := wide.MWQBatch([]Item{c1, c7}, q, rsl, Options{})
 	for i := range batch {
 		if batch[i].Cost != parallel[i].Cost || batch[i].Case != parallel[i].Case {
 			t.Fatalf("batch/parallel diverge at %d", i)
@@ -208,7 +209,7 @@ func TestFacadeWideSurface(t *testing.T) {
 	}
 
 	// Store build (parallel), save, reload via the facade.
-	store := db.BuildApproxStoreParallel(rsl, 5, 2)
+	store := wide.BuildApproxStore(rsl, 5)
 	var buf bytes.Buffer
 	if err := store.Save(&buf); err != nil {
 		t.Fatal(err)
