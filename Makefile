@@ -31,26 +31,18 @@ vet:
 # Observability lint on top of go vet: the query-path packages must take
 # timestamps through internal/obs (monotonic, mockable via SetClockForTest,
 # batched into histograms) — a raw time.Now() in a hot loop is both a per-
-# iteration cost and untestable. internal/obs itself anchors the process
+# iteration cost and untestable. The flight recorder and the plan builder
+# are held to the same rule: record and node timings come from obs.Now, and
+# callers supply the flight Epoch. internal/obs itself anchors the process
 # clock and internal/experiments measures wall-clock by design; both are
 # exempt, as are tests and the cmd/ front-ends.
 OBS_LINT_PKGS = internal/rtree internal/skyline internal/rskyline internal/whynot \
 	internal/exec internal/region internal/geom internal/cancel internal/grid \
-	internal/engine
+	internal/engine internal/obs/explain internal/obs/flight
 vet-obs: vet
 	@bad=$$(grep -rn 'time\.Now()' $(OBS_LINT_PKGS) --include='*.go' | grep -v _test.go || true); \
 	if [ -n "$$bad" ]; then \
 		echo "vet-obs: raw time.Now() on the query path (use internal/obs):"; \
-		echo "$$bad"; exit 1; \
-	fi
-	@bad=$$(grep -rn 'time\.Now()' internal/obs/flight --include='*.go' | grep -v _test.go || true); \
-	if [ -n "$$bad" ]; then \
-		echo "vet-obs: raw time.Now() in the flight recorder (timestamps come from obs.Now; callers supply Epoch):"; \
-		echo "$$bad"; exit 1; \
-	fi
-	@bad=$$(grep -rn 'time\.Now()' internal/obs/explain --include='*.go' | grep -v _test.go || true); \
-	if [ -n "$$bad" ]; then \
-		echo "vet-obs: raw time.Now() in the explain plan builder (per-node timings and model calibration must use obs.Now):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(for f in $$(grep -rl 'go func' internal/exec internal/engine --include='*.go' | grep -v _test.go); do \

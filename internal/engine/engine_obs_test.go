@@ -8,14 +8,16 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/engine/faultinject"
 	"repro/internal/obs"
+	"repro/internal/obs/explain"
 )
 
 // TestObservedDegradation pins the observable shape of one fault-injected
 // ladder run: a slow exact rung under a tight per-rung deadline must produce
 // exactly one exact-rung failure, one degradation with reason "deadline", a
-// successful approximate rung — and the per-query trace must carry a span per
-// attempted rung plus the degrade event. Run under -race this also proves the
-// recording paths are data-race free against the pool workers.
+// successful approximate rung — and the query's recorder must carry a
+// rung.<name> node per attempted rung plus the degrade event. Run under
+// -race this also proves the recording paths are data-race free against the
+// pool workers.
 func TestObservedDegradation(t *testing.T) {
 	f := newFixture(t)
 	const deadline = 50 * time.Millisecond
@@ -23,8 +25,8 @@ func TestObservedDegradation(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	tr := obs.NewTrace("mwq-faulted")
-	ctx := obs.WithTrace(cancel.WithHook(context.Background(), inj), tr)
+	eb := explain.NewBuilder("mwq-faulted", 2, nil, nil)
+	ctx := explain.With(cancel.WithHook(context.Background(), inj), eb)
 
 	costBefore := obs.Cost()
 	r := NewRunner(f.e, Config{Timeout: deadline, Degrade: true, Store: f.store, Metrics: m})
@@ -60,19 +62,35 @@ func TestObservedDegradation(t *testing.T) {
 		t.Errorf("global degradation delta = %d, want 1", d.Degradations)
 	}
 
-	exact := tr.SpansNamed("rung.exact")
+	rungs := map[string][]explain.Phase{}
+	for _, p := range eb.Phases() {
+		rungs[p.Name] = append(rungs[p.Name], p)
+	}
+	exact := rungs["rung.exact"]
 	if len(exact) != 1 {
-		t.Fatalf("rung.exact spans = %d, want 1", len(exact))
+		t.Fatalf("rung.exact nodes = %d, want 1", len(exact))
 	}
 	if exact[0].End <= exact[0].Start {
-		t.Errorf("rung.exact span has no duration: %+v", exact[0])
+		t.Errorf("rung.exact node has no duration: %+v", exact[0])
 	}
-	if got := len(tr.SpansNamed("rung.approx")); got != 1 {
-		t.Errorf("rung.approx spans = %d, want 1", got)
+	if got := len(rungs["rung.approx"]); got != 1 {
+		t.Errorf("rung.approx nodes = %d, want 1", got)
 	}
-	events := tr.EventsNamed("degrade")
-	if len(events) != 1 {
-		t.Fatalf("degrade events = %d, want 1", len(events))
+	degrades := 0
+	for _, e := range eb.Events() {
+		if e.Name == "degrade" {
+			degrades++
+		}
+	}
+	if degrades != 1 {
+		t.Fatalf("degrade events = %d, want 1", degrades)
+	}
+	// The rung nodes nest the phases they ran: the plan shape shows the
+	// ladder that answered.
+	plan := eb.Finish(RungApprox.String())
+	if len(plan.Root.Children) != 2 || plan.Root.Children[1].Name != "rung.approx" ||
+		len(plan.Root.Children[1].Children) == 0 || plan.Root.Children[1].Children[0].Name != "saferegion.approx" {
+		t.Errorf("plan does not nest the approx rung's phases:\n%s", plan.StableString())
 	}
 }
 

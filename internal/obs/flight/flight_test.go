@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/explain"
 )
 
 // fakeClock pins obs.Now for a test and returns an advance function.
@@ -23,7 +24,7 @@ func fakeClock(t *testing.T, start time.Duration) func(d time.Duration) {
 }
 
 func finishOne(l *Ledger, outcome string) QueryRecord {
-	a := l.Begin("op", "test", "", 0)
+	a := l.Begin("op", "test", "", 0, nil)
 	rec, _ := a.Finish(outcome, "")
 	return rec
 }
@@ -74,15 +75,15 @@ func TestSamplerRetainsBadOutcomes(t *testing.T) {
 	}
 
 	// Degraded-but-successful answers are kept too.
-	a := l.Begin("mwq", "test", "", 0)
+	a := l.Begin("mwq", "test", "", 0, nil)
 	a.SetRung("mwp", true)
 	if rec, _ := a.Finish(OutcomeOK, ""); !rec.Sampled || rec.SampleReason != SampleDegraded {
 		t.Errorf("degraded ok record: sampled=%v reason=%q, want degraded", rec.Sampled, rec.SampleReason)
 	}
 
-	// A breaker veto shows up as a "gate" trace event.
-	a = l.Begin("mwq", "test", "", 0)
-	a.Trace().Event("gate", "exact rung skipped: breaker open")
+	// A breaker veto shows up as a "gate" event.
+	a = l.Begin("mwq", "test", "", 0, nil)
+	a.Builder().Event("gate", "exact rung skipped: breaker open")
 	if rec, _ := a.Finish(OutcomeOK, ""); !rec.Sampled || rec.SampleReason != SampleBreaker {
 		t.Errorf("breaker record: sampled=%v reason=%q, want breaker", rec.Sampled, rec.SampleReason)
 	}
@@ -117,12 +118,12 @@ func TestSlowSampling(t *testing.T) {
 	advance := fakeClock(t, time.Hour)
 	l := New(Config{HeadSampleEvery: 1 << 20}) // MinSlow defaults to 250ms
 
-	a := l.Begin("op", "test", "", 0)
+	a := l.Begin("op", "test", "", 0, nil)
 	advance(400 * time.Millisecond)
 	if rec, _ := a.Finish(OutcomeOK, ""); !rec.Sampled || rec.SampleReason != SampleSlow {
 		t.Errorf("400ms record: sampled=%v reason=%q, want slow (MinSlow floor 250ms)", rec.Sampled, rec.SampleReason)
 	}
-	a = l.Begin("op", "test", "", 0)
+	a = l.Begin("op", "test", "", 0, nil)
 	advance(100 * time.Millisecond)
 	if rec, _ := a.Finish(OutcomeOK, ""); rec.Sampled {
 		t.Errorf("100ms record sampled (reason %q), want unsampled below the floor", rec.SampleReason)
@@ -142,12 +143,12 @@ func TestSlowThresholdTracksP99(t *testing.T) {
 	l := New(Config{Latency: hist, WarmCount: 100, HeadSampleEvery: 1 << 20})
 
 	// 400ms is past the absolute floor but well under the live p99: healthy.
-	a := l.Begin("op", "test", "", 0)
+	a := l.Begin("op", "test", "", 0, nil)
 	advance(400 * time.Millisecond)
 	if rec, _ := a.Finish(OutcomeOK, ""); rec.Sampled {
 		t.Errorf("400ms record sampled (reason %q) though live p99 is ~2s", rec.SampleReason)
 	}
-	a = l.Begin("op", "test", "", 0)
+	a = l.Begin("op", "test", "", 0, nil)
 	advance(5 * time.Second)
 	if rec, _ := a.Finish(OutcomeOK, ""); !rec.Sampled || rec.SampleReason != SampleSlow {
 		t.Errorf("5s record: sampled=%v reason=%q, want slow", rec.Sampled, rec.SampleReason)
@@ -156,7 +157,7 @@ func TestSlowThresholdTracksP99(t *testing.T) {
 
 func TestFinishIdempotent(t *testing.T) {
 	l := New(Config{})
-	a := l.Begin("op", "test", "", 0)
+	a := l.Begin("op", "test", "", 0, nil)
 	if _, done := a.Finish(OutcomeOK, ""); !done {
 		t.Fatal("first Finish reported not-done")
 	}
@@ -171,7 +172,7 @@ func TestFinishIdempotent(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var l *Ledger
-	a := l.Begin("op", "test", "params", 3)
+	a := l.Begin("op", "test", "params", 3, nil)
 	if a != nil {
 		t.Fatal("nil ledger returned a non-nil Active")
 	}
@@ -185,8 +186,8 @@ func TestNilSafety(t *testing.T) {
 	if _, done := a.Finish(OutcomeOK, ""); done {
 		t.Fatal("nil Active Finish reported done")
 	}
-	if a.Trace() != nil {
-		t.Fatal("nil Active returned a trace")
+	if a.Builder() != nil {
+		t.Fatal("nil Active returned a builder")
 	}
 	if l.Recent(0) != nil || l.InFlight() != nil || l.StatusValue() != nil {
 		t.Fatal("nil ledger returned non-nil views")
@@ -198,13 +199,11 @@ func TestNilSafety(t *testing.T) {
 
 func TestRungAttemptsAndDegradeReasonsFromTrace(t *testing.T) {
 	l := New(Config{HeadSampleEvery: 1 << 20})
-	a := l.Begin("mwq", "test", "q=1,2 c=3", 2)
-	tr := a.Trace()
-	end := tr.StartSpan("rung.exact")
-	end()
-	tr.Eventf("degrade", "exact rung failed (%s), falling through", "panic: boom")
-	end = tr.StartSpan("rung.mwp")
-	end()
+	a := l.Begin("mwq", "test", "q=1,2 c=3", 2, nil)
+	b := a.Builder()
+	b.Start("rung.exact", "").End()
+	b.Eventf("degrade", "exact rung failed (%s), falling through", "panic: boom")
+	b.Start("rung.mwp", "").End()
 	a.SetRung("mwp", true)
 	rec, _ := a.Finish(OutcomeOK, "")
 
@@ -225,9 +224,41 @@ func TestRungAttemptsAndDegradeReasonsFromTrace(t *testing.T) {
 	}
 }
 
+// TestRecordReadsSharedBuilderSinceBegin: a record that adopts a query's
+// existing recorder (a traced context, the server's plan builder) keeps only
+// the phases and events from its own Begin on, and an overflowed recorder
+// marks the record truncated.
+func TestRecordReadsSharedBuilderSinceBegin(t *testing.T) {
+	advance := fakeClock(t, time.Second)
+	b := explain.NewBuilder("mwq", 2, nil, nil)
+	b.Start("rung.exact", "").End()
+	b.Event("degrade", "before the record")
+	advance(time.Millisecond)
+
+	l := New(Config{HeadSampleEvery: 1})
+	a := l.Begin("mwq", "test", "", 0, b)
+	if a.Builder() != b {
+		t.Fatal("record did not adopt the supplied builder")
+	}
+	b.Start("rung.mwp", "").End()
+	for i := 0; i < 200; i++ {
+		b.Event("mwq.case", "")
+	}
+	rec, _ := a.Finish(OutcomeOK, "")
+	if len(rec.Attempts) != 1 || rec.Attempts[0].Rung != "mwp" || len(rec.DegradeReasons) != 0 {
+		t.Errorf("attempts = %+v, degrade reasons = %v; want only the rung recorded after Begin", rec.Attempts, rec.DegradeReasons)
+	}
+	if len(rec.Trace) != 1 || rec.Trace[0].Name != "rung.mwp" {
+		t.Errorf("trace = %+v, want [rung.mwp]", rec.Trace)
+	}
+	if !rec.Truncated {
+		t.Error("record of an overflowed recorder not marked truncated")
+	}
+}
+
 func TestInFlightInspector(t *testing.T) {
 	l := New(Config{})
-	a := l.Begin("whynot", "http", "q=1", 4)
+	a := l.Begin("whynot", "http", "q=1", 4, nil)
 	defer a.Finish(OutcomeOK, "")
 
 	infos := l.InFlight()
@@ -237,8 +268,7 @@ func TestInFlightInspector(t *testing.T) {
 	if infos[0].Op != "whynot" || infos[0].Workers != 4 || infos[0].Phase != "-" {
 		t.Errorf("in-flight entry = %+v, want op=whynot workers=4 phase=- before any span completes", infos[0])
 	}
-	end := a.Trace().StartSpan("membership")
-	end()
+	a.Builder().Start("membership", "").End()
 	if infos = l.InFlight(); infos[0].Phase != "membership" {
 		t.Errorf("phase = %q after the membership span completed, want membership", infos[0].Phase)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/explain"
 )
 
 // Config sizes and wires a Ledger. The zero value is usable: a 256-record
@@ -119,12 +120,12 @@ func New(cfg Config) *Ledger {
 
 // Active is one in-flight query. The owning request goroutine fills it via
 // the Set* methods and closes it with Finish; the inspector reads only the
-// fields frozen at Begin plus the race-free trace, so no further
-// synchronization is needed between them. A nil *Active (from a nil or
-// disabled Ledger) is valid everywhere.
+// fields frozen at Begin plus the query's builder, which is safe to read
+// while the query runs, so no further synchronization is needed between
+// them. A nil *Active (from a nil or disabled Ledger) is valid everywhere.
 type Active struct {
 	l          *Ledger
-	trace      *obs.Trace
+	b          *explain.Builder
 	costBefore obs.CostSnapshot
 	rec        QueryRecord
 	done       atomic.Bool
@@ -132,14 +133,20 @@ type Active struct {
 
 // Begin opens a record. params is the raw parameter string (redacted on
 // render; its digest always survives); workers is the parallelism serving
-// the query, frozen here so the inspector can read it without racing.
-func (l *Ledger) Begin(op, source, params string, workers int) *Active {
+// the query, frozen here so the inspector can read it without racing. b is
+// the query's recorder — the builder its phases and events land on, shared
+// with its plan — or nil for a fresh one named op. Only the phases and
+// events recorded from Begin on belong to the record.
+func (l *Ledger) Begin(op, source, params string, workers int, b *explain.Builder) *Active {
 	if l == nil {
 		return nil
 	}
+	if b == nil {
+		b = explain.NewBuilder(op, 0, nil, nil)
+	}
 	a := &Active{
 		l:          l,
-		trace:      obs.NewTrace(op),
+		b:          b,
 		costBefore: obs.Cost(),
 	}
 	a.rec = QueryRecord{
@@ -149,7 +156,7 @@ func (l *Ledger) Begin(op, source, params string, workers int) *Active {
 		Op:           op,
 		Params:       params,
 		ParamsDigest: Digest(params),
-		StartNS:      a.trace.Start,
+		StartNS:      obs.Now(),
 		Workers:      workers,
 		Admission:    "none",
 	}
@@ -160,13 +167,37 @@ func (l *Ledger) Begin(op, source, params string, workers int) *Active {
 	return a
 }
 
-// Trace returns the record's trace for context propagation (nil on a nil
-// Active — still valid, obs treats nil traces as disabled).
-func (a *Active) Trace() *obs.Trace {
+// Builder returns the record's recorder for context propagation (nil on a
+// nil Active — still valid, a nil builder records nothing).
+func (a *Active) Builder() *explain.Builder {
 	if a == nil {
 		return nil
 	}
-	return a.trace
+	return a.b
+}
+
+// phases returns the builder's ended phases that started after Begin.
+func (a *Active) phases() []explain.Phase {
+	all := a.b.Phases()
+	out := all[:0]
+	for _, p := range all {
+		if p.Start >= a.rec.StartNS {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// events returns the builder's events recorded after Begin.
+func (a *Active) events() []explain.Event {
+	all := a.b.Events()
+	out := all[:0]
+	for _, e := range all {
+		if e.At >= a.rec.StartNS {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // SetAdmission records the admission verdict ("admitted", "shed:<reason>").
@@ -213,7 +244,8 @@ func (a *Active) SetCache(hits, misses uint64) {
 }
 
 // Finish closes the record: stamps duration, outcome and cost delta, derives
-// the rung ladder and degradation reasons from the trace, decides sampling,
+// the rung ladder and degradation reasons from the builder's rung.* phases
+// and degrade events, decides sampling,
 // and commits to the ring (and slow log if sampled). Idempotent — the second
 // and later calls are no-ops, so a blanket deferred Finish is safe alongside
 // early-exit paths. Returns the final record and whether this call closed it.
@@ -228,9 +260,9 @@ func (a *Active) Finish(outcome, errMsg string) (QueryRecord, bool) {
 	rec.Outcome = outcome
 	rec.Error = errMsg
 	rec.Cost = obs.Cost().Sub(a.costBefore)
-	rec.Truncated = a.trace.Truncated()
+	rec.Truncated = a.b.Truncated()
 
-	spans := a.trace.Spans()
+	spans, events := a.phases(), a.events()
 	breaker := false
 	for _, sp := range spans {
 		if name, ok := strings.CutPrefix(sp.Name, "rung."); ok {
@@ -240,7 +272,7 @@ func (a *Active) Finish(outcome, errMsg string) (QueryRecord, bool) {
 			})
 		}
 	}
-	for _, ev := range a.trace.Events() {
+	for _, ev := range events {
 		switch ev.Name {
 		case "degrade":
 			rec.DegradeReasons = append(rec.DegradeReasons, ev.Detail)
@@ -251,7 +283,7 @@ func (a *Active) Finish(outcome, errMsg string) (QueryRecord, bool) {
 	if reason, ok := l.sampleReason(rec, breaker, durNS); ok {
 		rec.Sampled, rec.SampleReason = true, reason
 		rec.Trace = dumpSpans(spans)
-		rec.Events = dumpEvents(a.trace.Events())
+		rec.Events = dumpEvents(events)
 	}
 	if !l.cfg.Epoch.IsZero() {
 		rec.TS = l.cfg.Epoch.Add(time.Duration(rec.StartNS)).UTC().Format(time.RFC3339Nano)
@@ -325,7 +357,7 @@ func (l *Ledger) slowThreshold() time.Duration {
 	return d
 }
 
-func dumpSpans(spans []obs.Span) []TraceSpan {
+func dumpSpans(spans []explain.Phase) []TraceSpan {
 	if len(spans) == 0 {
 		return nil
 	}
@@ -340,7 +372,7 @@ func dumpSpans(spans []obs.Span) []TraceSpan {
 	return out
 }
 
-func dumpEvents(events []obs.Event) []TraceEvent {
+func dumpEvents(events []explain.Event) []TraceEvent {
 	if len(events) == 0 {
 		return nil
 	}
@@ -372,7 +404,7 @@ func (l *Ledger) Recent(max int) []QueryRecord {
 }
 
 // InFlightInfo is one currently-executing query as seen by the inspector.
-// Phase is the latest *completed* span (spans publish at completion), so a
+// Phase is the latest *completed* phase (phases publish at completion), so a
 // query still in its first phase shows "-".
 type InFlightInfo struct {
 	ID           uint64  `json:"id"`
@@ -411,7 +443,7 @@ func (l *Ledger) InFlight() []InFlightInfo {
 			Phase:        "-",
 			Workers:      a.rec.Workers,
 		}
-		spans := a.trace.Spans()
+		spans := a.phases()
 		info.Spans = len(spans)
 		var latest int64 = -1
 		for _, sp := range spans {

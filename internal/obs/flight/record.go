@@ -12,8 +12,9 @@
 //   - a fixed-size ring of finished QueryRecords (Recent), overwritten
 //     oldest-first, so memory is bounded no matter the request rate;
 //   - an in-flight table (InFlight) of currently-executing queries, with the
-//     phase read live from the query's lock-free obs.Trace;
-//   - a tail sampler that retains the full span/event dump of the trace only
+//     phase read live from the query's explain.Builder, the recorder its
+//     plan is built on;
+//   - a tail sampler that retains the full phase/event dump only
 //     for the records worth keeping: slow (relative to the live p99 of the
 //     serving latency histogram), errored, shed, degraded, or breaker-
 //     skipped, plus a deterministic 1-in-N head sample for baselines.

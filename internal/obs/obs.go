@@ -2,8 +2,10 @@
 // atomics-based counters, gauges and bounded histograms; a Registry rendering
 // Prometheus text format and JSON; process-global cost counters mirroring the
 // paper's efficiency metrics (R-tree node accesses, dominance tests, DSL
-// computations — §VII reports exactly these); a lock-free per-query span
-// recorder (Trace); and the debug HTTP mux serving /metrics, expvar and pprof.
+// computations — §VII reports exactly these); and the debug HTTP mux serving
+// /metrics, expvar and pprof. The per-query recorder — plan tree, phase
+// timeline and events in one — is explain.Builder in the explain
+// subpackage.
 //
 // Design rules:
 //

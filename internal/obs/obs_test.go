@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -299,4 +300,29 @@ func TestRegisterCost(t *testing.T) {
 		t.Fatalf("dominance delta = %d, want 2", got)
 	}
 	RegisterCost(nil) // must not panic
+}
+
+func TestExecMetricsContextRoundtrip(t *testing.T) {
+	if ExecFrom(context.Background()) != nil || ExecFrom(nil) != nil {
+		t.Fatal("plain/nil context must carry no exec metrics")
+	}
+	m := NewExecMetrics(nil)
+	ctx := WithExecMetrics(context.Background(), m)
+	if ExecFrom(ctx) != m {
+		t.Fatal("exec metrics must round-trip through context")
+	}
+	// Registry-less metrics are all nil but usable.
+	m.Fanouts.Inc()
+	m.QueueWait.Observe(0.1)
+}
+
+func TestClockMonotonic(t *testing.T) {
+	a := Now()
+	b := Now()
+	if b < a {
+		t.Fatalf("clock went backwards: %d then %d", a, b)
+	}
+	if Since(a) < 0 || SecondsSince(a) < 0 {
+		t.Fatal("Since must be non-negative")
+	}
 }

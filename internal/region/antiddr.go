@@ -174,7 +174,7 @@ func maximalPoints(pts []geom.Point, poll func() error) ([]geom.Point, error) {
 	return out, nil
 }
 
-// AntiDDR builds the anti-dominance region of centre c as a union of
+// AntiDDRChecked builds the anti-dominance region of centre c as a union of
 // original-space rectangles [c − m, c + m], one per staircase corner m of the
 // transformed complement of the dominance boxes of dsl (the dynamic skyline
 // of c, given in original coordinates). universe is the bounding rectangle of
@@ -183,14 +183,9 @@ func maximalPoints(pts []geom.Point, poll func() error) ([]geom.Point, error) {
 // "maximum value appearing in the i-th dimension" extension. Rectangles are
 // symmetric around c and may extend beyond the data range, exactly as in the
 // paper's worked example for c7.
-func AntiDDR(c geom.Point, dsl []geom.Point, universe geom.Rect) Set {
-	out, _ := AntiDDRChecked(c, dsl, universe, nil)
-	return out
-}
-
-// AntiDDRChecked is AntiDDR with a cooperative-cancellation poll threaded
-// into the grid staircase construction (exponential in d) and the final
-// prune. A nil poll restores the unpolled loops.
+//
+// poll is the cooperative-cancellation hook threaded into the grid staircase
+// construction (exponential in d) and the final prune; nil polls nothing.
 func AntiDDRChecked(c geom.Point, dsl []geom.Point, universe geom.Rect, poll func() error) (Set, error) {
 	u := universe.TransformMinMax(c).Hi
 	tr := make([]geom.Point, len(dsl))

@@ -303,7 +303,7 @@ func TestAntiDDRPaperC7(t *testing.T) {
 		geom.NewPoint(20, 50), geom.NewPoint(16, 80),
 	}
 	universe := geom.MBR(append(products, geom.NewPoint(26, 70)))
-	got := AntiDDR(c7, dsl, universe)
+	got, _ := AntiDDRChecked(c7, dsl, universe, nil)
 	want := Set{
 		rect(2.5, 60, 49.5, 80),
 		rect(16, 50, 36, 90),
@@ -324,7 +324,7 @@ func TestAntiDDRPaperC7(t *testing.T) {
 	}
 }
 
-// Membership property for AntiDDR against the raw definition: a point x is in
+// Membership property for AntiDDRChecked against the raw definition: a point x is in
 // the anti-DDR of c iff no DSL point dynamically dominates x w.r.t. c
 // (closed-boundary tolerance).
 func TestAntiDDRMembershipProperty(t *testing.T) {
@@ -350,7 +350,7 @@ func TestAntiDDRMembershipProperty(t *testing.T) {
 				dsl = append(dsl, p)
 			}
 		}
-		add := AntiDDR(c, dsl, universe)
+		add, _ := AntiDDRChecked(c, dsl, universe, nil)
 		for probe := 0; probe < 200; probe++ {
 			x := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
 			if !universe.Contains(x) {
@@ -385,7 +385,7 @@ func TestApproxAntiDDRIsSubset(t *testing.T) {
 		}
 		c := geom.NewPoint(50, 50)
 		universe := rect(0, 0, 100, 100)
-		exact := AntiDDR(c, dsl, universe)
+		exact, _ := AntiDDRChecked(c, dsl, universe, nil)
 		// Sample 4 of the DSL points plus forced extremes, like §VI.B.1.
 		u := universe.TransformMinMax(c).Hi
 		sampled := samplePoints(dsl, c, 4)

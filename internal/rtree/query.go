@@ -217,27 +217,14 @@ func (t *Tree) bestFirst(
 	}
 }
 
-// GuidedSearch is a depth-first traversal restricted to subtrees
+// GuidedSearchChecked is a depth-first traversal restricted to subtrees
 // intersecting query, visiting children in ascending order(rect) and
 // consulting prune before each descent (prune sees the child MBR; returning
 // true skips it). Unlike BestFirst it keeps no global heap — the ordering is
 // only per-node — which makes it the cheap engine for window-local
 // branch-and-bound where any collected witness prunes soundly regardless of
-// global visit order. Traversal stops when fn returns false.
-func (t *Tree) GuidedSearch(
-	query geom.Rect,
-	order func(geom.Rect) float64,
-	prune func(geom.Rect) bool,
-	fn func(Item) bool,
-) {
-	if t.size == 0 {
-		return
-	}
-	t.guidedSearch(t.root, query, order, prune, fn, nil)
-}
-
-// GuidedSearchChecked is GuidedSearch with cooperative cancellation at
-// node-visit granularity.
+// global visit order. Traversal stops when fn returns false. The checker
+// (nil for none) fires at node-visit granularity.
 func (t *Tree) GuidedSearchChecked(
 	chk *cancel.Checker,
 	query geom.Rect,

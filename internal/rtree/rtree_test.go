@@ -496,9 +496,9 @@ func TestGuidedSearch(t *testing.T) {
 	tr := BulkLoad(2, items, Config{})
 	origin := geom.NewPoint(0, 0)
 	window := geom.NewRect(geom.NewPoint(100, 100), geom.NewPoint(400, 400))
-	// Without pruning, GuidedSearch must enumerate exactly the window.
+	// Without pruning, GuidedSearchChecked must enumerate exactly the window.
 	var got []int
-	tr.GuidedSearch(window,
+	tr.GuidedSearchChecked(nil, window,
 		func(r geom.Rect) float64 { return r.MinDistL1(origin) },
 		nil,
 		func(it Item) bool { got = append(got, it.ID); return true })
@@ -522,7 +522,7 @@ func TestGuidedSearch(t *testing.T) {
 	}
 	// Early exit stops the traversal.
 	n := 0
-	tr.GuidedSearch(window,
+	tr.GuidedSearchChecked(nil, window,
 		func(r geom.Rect) float64 { return r.MinDistL1(origin) },
 		nil,
 		func(Item) bool { n++; return false })
@@ -530,13 +530,13 @@ func TestGuidedSearch(t *testing.T) {
 		t.Fatalf("early exit visited %d items", n)
 	}
 	// Prune-everything yields nothing.
-	tr.GuidedSearch(window,
+	tr.GuidedSearchChecked(nil, window,
 		func(r geom.Rect) float64 { return 0 },
 		func(geom.Rect) bool { return true },
 		func(Item) bool { t.Fatal("pruned traversal yielded an item"); return false })
 	// Empty tree no-op.
 	empty := New(2, Config{})
-	empty.GuidedSearch(window, func(geom.Rect) float64 { return 0 }, nil,
+	empty.GuidedSearchChecked(nil, window, func(geom.Rect) float64 { return 0 }, nil,
 		func(Item) bool { t.Fatal("empty tree yielded an item"); return false })
 }
 

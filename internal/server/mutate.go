@@ -55,7 +55,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	// Mutations skip the admission controller (they hold mutMu instead), so
 	// the record says so; the WAL seq that acknowledges the write lands on it.
 	began := obs.Now()
-	act := s.flight.Begin("insert", "http", fmt.Sprintf("id=%d point=%v", req.ID, req.Point), 0)
+	act := s.flight.Begin("insert", "http", fmt.Sprintf("id=%d point=%v", req.ID, req.Point), 0, nil)
 	act.SetAdmission("bypass")
 	var qerr error
 	defer func() { s.finishRecord(act, "insert", began, w, qerr, nil, [2]uint64{}) }()
@@ -114,7 +114,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 
 	began := obs.Now()
-	act := s.flight.Begin("delete", "http", fmt.Sprintf("id=%d", req.ID), 0)
+	act := s.flight.Begin("delete", "http", fmt.Sprintf("id=%d", req.ID), 0, nil)
 	act.SetAdmission("bypass")
 	var qerr error
 	defer func() { s.finishRecord(act, "delete", began, w, qerr, nil, [2]uint64{}) }()

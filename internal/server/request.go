@@ -49,8 +49,8 @@ type WhyNotRequest struct {
 	// milliseconds; 0 uses the server default. Values above the server cap
 	// are clamped.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Trace, when true, returns the per-query span/event trace in the
-	// response.
+	// Trace, when true, returns the request's phases in the response: the
+	// nodes of its plan below the root, in start order, with durations.
 	Trace bool `json:"trace,omitempty"`
 }
 

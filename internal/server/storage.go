@@ -229,7 +229,7 @@ func (s *Server) RunScrub() (wal.ScrubReport, error) {
 	}
 	var act *flight.Active
 	if s.flight != nil {
-		act = s.flight.Begin("scrub", "background", "", 0)
+		act = s.flight.Begin("scrub", "background", "", 0, nil)
 		act.SetAdmission("bypass")
 	}
 	rep, err := s.wal.Scrub(wal.ScrubConfig{

@@ -7,7 +7,7 @@ import (
 	"repro/internal/rtree"
 )
 
-// GlobalSkylineBBS computes the global skyline with respect to q by
+// GlobalSkylineBBSChecked computes the global skyline with respect to q by
 // branch-and-bound over the R*-tree, in the style of the BBRS algorithm of
 // Dellis & Seeger (VLDB 2007): nodes are visited in ascending transformed
 // mindist order and a subtree is pruned when it lies entirely inside one
@@ -16,16 +16,9 @@ import (
 // orthant boundary are never pruned (they are near q and cheap to expand).
 //
 // The result equals GlobalSkyline(tree.Items(), q) but touches only the part
-// of the index that can contain global-skyline points.
-func GlobalSkylineBBS(t *rtree.Tree, q geom.Point) []Item {
-	out, _ := GlobalSkylineBBSChecked(nil, t, q)
-	return out
-}
-
-// GlobalSkylineBBSChecked is GlobalSkylineBBS with cooperative cancellation:
-// the checker fires on every node/item expansion of the branch-and-bound
-// loop, and a cancelled traversal returns the context's error with a nil
-// result.
+// of the index that can contain global-skyline points. The checker (nil for
+// none) fires on every node/item expansion of the branch-and-bound loop, and
+// a cancelled traversal returns the context's error with a nil result.
 func GlobalSkylineBBSChecked(chk *cancel.Checker, t *rtree.Tree, q geom.Point) ([]Item, error) {
 	d := len(q)
 	type skyPoint struct {

@@ -20,7 +20,8 @@ func TestGlobalSkylineBBSMatchesScan(t *testing.T) {
 					q[d] = rng.Float64() * 100
 				}
 				want := idSet(GlobalSkyline(items, q))
-				got := idSet(GlobalSkylineBBS(tr, q))
+				bbs, _ := GlobalSkylineBBSChecked(nil, tr, q)
+				got := idSet(bbs)
 				if len(got) != len(want) {
 					t.Fatalf("dims=%d seed=%d: BBS=%d scan=%d", dims, seed, len(got), len(want))
 				}
@@ -41,7 +42,8 @@ func TestGlobalSkylineBBSQueryOnDataPoint(t *testing.T) {
 	tr := rtree.BulkLoad(2, items, rtree.Config{})
 	q := items[42].Point
 	want := idSet(GlobalSkyline(items, q))
-	got := idSet(GlobalSkylineBBS(tr, q))
+	bbs, _ := GlobalSkylineBBSChecked(nil, tr, q)
+	got := idSet(bbs)
 	if len(got) != len(want) {
 		t.Fatalf("BBS=%d scan=%d", len(got), len(want))
 	}
@@ -68,7 +70,8 @@ func TestGlobalSkylineBBSAxisTies(t *testing.T) {
 	}
 	tr := rtree.BulkLoad(2, items, rtree.Config{})
 	want := idSet(GlobalSkyline(items, q))
-	got := idSet(GlobalSkylineBBS(tr, q))
+	bbs, _ := GlobalSkylineBBSChecked(nil, tr, q)
+	got := idSet(bbs)
 	if len(got) != len(want) {
 		t.Fatalf("BBS=%v scan=%v", got, want)
 	}
@@ -79,7 +82,7 @@ func TestGlobalSkylineBBSAxisTies(t *testing.T) {
 	}
 }
 
-// BBS and GlobalSkylineBBS are access-efficient: they touch far fewer index
+// BBS and GlobalSkylineBBSChecked are access-efficient: they touch far fewer index
 // nodes than a full traversal (the I/O-optimality story of Papadias et al.).
 func TestBranchAndBoundAccessEfficiency(t *testing.T) {
 	items := randItems(20000, 2, 950)
@@ -95,16 +98,16 @@ func TestBranchAndBoundAccessEfficiency(t *testing.T) {
 
 	q := geom.NewPoint(500, 500)
 	tr.ResetAccesses()
-	GlobalSkylineBBS(tr, q)
+	GlobalSkylineBBSChecked(nil, tr, q)
 	gsb := tr.Accesses()
 	if gsb <= 0 || gsb >= total {
-		t.Errorf("GlobalSkylineBBS touched %d of %d nodes", gsb, total)
+		t.Errorf("GlobalSkylineBBSChecked touched %d of %d nodes", gsb, total)
 	}
 
 	tr.ResetAccesses()
-	DynamicBBS(tr, q)
+	DynamicBBSChecked(nil, tr, q)
 	dsl := tr.Accesses()
 	if dsl <= 0 || dsl > total/3 {
-		t.Errorf("DynamicBBS touched %d of %d nodes; expected a small fraction", dsl, total)
+		t.Errorf("DynamicBBSChecked touched %d of %d nodes; expected a small fraction", dsl, total)
 	}
 }

@@ -243,24 +243,19 @@ func Dynamic(items []Item, c geom.Point) []Item {
 	return out
 }
 
-// DynamicBBS computes the dynamic skyline with respect to centre c by
-// branch-and-bound over the R*-tree, pruning subtrees whose transformed
-// bounding boxes are dominated by an already-found skyline point. This is
-// the index-backed DSL computation the paper's safe-region construction
-// relies on.
-func DynamicBBS(t *rtree.Tree, c geom.Point) []Item {
-	return DynamicBBSExcluding(t, c, noExclude)
-}
-
 // noExclude is an ID no real item carries, making the exclusion filter inert.
 const noExclude = -1 << 62
 
-// DynamicBBSChecked is DynamicBBS with cooperative cancellation.
+// DynamicBBSChecked computes the dynamic skyline with respect to centre c by
+// branch-and-bound over the R*-tree, pruning subtrees whose transformed
+// bounding boxes are dominated by an already-found skyline point. This is
+// the index-backed DSL computation the paper's safe-region construction
+// relies on. The checker (nil for none) fires at node-expansion granularity.
 func DynamicBBSChecked(chk *cancel.Checker, t *rtree.Tree, c geom.Point) ([]Item, error) {
 	return DynamicBBSExcludingChecked(chk, t, c, noExclude)
 }
 
-// DynamicBBSExcluding is DynamicBBS with one record made invisible by ID —
+// DynamicBBSExcluding is DynamicBBSChecked with one record made invisible by ID —
 // the monochromatic convention under which a customer's own product record
 // does not shape its dynamic skyline. The excluded item neither appears in
 // the result nor prunes other points.

@@ -81,7 +81,8 @@ func TestDynamicSkylinePaperExampleQ(t *testing.T) {
 	q := geom.NewPoint(8.5, 55)
 	sameIDs(t, Dynamic(items, q), 2, 6)
 	tr := rtree.BulkLoad(2, items, rtree.Config{})
-	sameIDs(t, DynamicBBS(tr, q), 2, 6)
+	bbs, _ := DynamicBBSChecked(nil, tr, q)
+	sameIDs(t, bbs, 2, 6)
 }
 
 // Paper §I: the dynamic skyline of c2 = pt2 over {pt1, pt3..pt8} is
@@ -185,9 +186,10 @@ func TestDynamicAgreesWithBruteRandom(t *testing.T) {
 		want := idSet(bruteDynamicSkyline(items, c))
 		got := idSet(Dynamic(items, c))
 		tr := rtree.BulkLoad(dims, items, rtree.Config{})
-		gotBBS := idSet(DynamicBBS(tr, c))
+		bbs, _ := DynamicBBSChecked(nil, tr, c)
+		gotBBS := idSet(bbs)
 		if len(got) != len(want) || len(gotBBS) != len(want) {
-			t.Fatalf("trial %d: Dynamic=%d DynamicBBS=%d want=%d", trial, len(got), len(gotBBS), len(want))
+			t.Fatalf("trial %d: Dynamic=%d DynamicBBSChecked=%d want=%d", trial, len(got), len(gotBBS), len(want))
 		}
 		for id := range want {
 			if !got[id] || !gotBBS[id] {
@@ -475,7 +477,8 @@ func TestGlobalDominanceRecordAtQuery(t *testing.T) {
 		return true
 	}
 	gs := idSet(GlobalSkyline(items, q))
-	bbs := idSet(GlobalSkylineBBS(rtree.BulkLoad(2, items, rtree.Config{}), q))
+	gsb, _ := GlobalSkylineBBSChecked(nil, rtree.BulkLoad(2, items, rtree.Config{}), q)
+	bbs := idSet(gsb)
 	members := 0
 	for _, c := range items {
 		if !inRSL(c) {
@@ -486,7 +489,7 @@ func TestGlobalDominanceRecordAtQuery(t *testing.T) {
 			t.Errorf("RSL member %d pruned from GlobalSkyline by the record at q", c.ID)
 		}
 		if !bbs[c.ID] {
-			t.Errorf("RSL member %d pruned from GlobalSkylineBBS by the record at q", c.ID)
+			t.Errorf("RSL member %d pruned from GlobalSkylineBBSChecked by the record at q", c.ID)
 		}
 		for _, p := range items {
 			if p.ID != c.ID && GlobalDominates(q, p.Point, c.Point) {

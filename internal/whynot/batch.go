@@ -6,7 +6,6 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/exec"
 	"repro/internal/geom"
-	"repro/internal/obs"
 )
 
 // MWQBatchCtx answers one why-not question per customer against the same
@@ -27,12 +26,11 @@ func (e *Engine) MWQBatchCtx(ctx context.Context, cts []Item, q geom.Point, rsl 
 		return nil, err
 	}
 	out := make([]MWQResult, len(cts))
-	// The trace is shared across workers: span/event recording is lock-free
-	// and safe for concurrent writers.
-	tr := obs.TraceFrom(ctx)
+	// The per-question Algorithm 4 runs record nothing: one plan subtree
+	// per question would make the plan shape depend on the batch size.
 	err = exec.ForEach(ctx, len(cts), cancel.SiteBatchItem, func(chk *cancel.Checker, i int) error {
 		var err error
-		out[i], err = e.mwq(chk, tr, nil, cts[i], q, sr, opt)
+		out[i], err = e.mwq(chk, nil, cts[i], q, sr, opt)
 		return err
 	})
 	if err != nil {

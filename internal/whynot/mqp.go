@@ -7,6 +7,7 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/obs/explain"
 	"repro/internal/region"
 )
 
@@ -37,8 +38,8 @@ func (e *Engine) MQPCtx(ctx context.Context, ct Item, q geom.Point, opt Options)
 	if err != nil {
 		return MQPResult{}, err
 	}
-	_, endPhase := obs.StartPhase(ctx, "mqp")
-	defer endPhase()
+	_, end := explain.StartPhase(ctx, "mqp", explain.RuleNone)
+	defer end()
 	frontier, err := e.DB.WindowFrontierChecked(chk, ct.Point, q, ct.Point, e.exclude(ct))
 	if err != nil {
 		return MQPResult{}, err

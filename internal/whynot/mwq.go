@@ -67,17 +67,16 @@ func (e *Engine) MWQCtx(ctx context.Context, ct Item, q geom.Point, sr region.Se
 	if err != nil {
 		return MWQResult{}, err
 	}
-	return e.mwq(chk, obs.TraceFrom(ctx), explain.From(ctx), ct, q, sr, opt)
+	return e.mwq(chk, explain.From(ctx), ct, q, sr, opt)
 }
 
-// mwq runs Algorithm 4. tr and eb are threaded explicitly (this layer has no
-// context): tr records the span timeline, eb the plan tree. Per-corner MWP
-// calls deliberately run without eb — a plan tree that grew one subtree per
-// corner would make the plan shape (and so the query fingerprint) depend on
-// the corner count instead of the pipeline structure; the corners node
+// mwq runs Algorithm 4. eb is threaded explicitly (this layer has no
+// context) and receives the plan nodes and the mwq.case event. Per-corner
+// MWP calls deliberately run without eb — a plan tree that grew one subtree
+// per corner would make the plan shape (and so the query fingerprint) depend
+// on the corner count instead of the pipeline structure; the corners node
 // aggregates them.
-func (e *Engine) mwq(chk *cancel.Checker, tr *obs.Trace, eb *explain.Builder, ct Item, q geom.Point, sr region.Set, opt Options) (MWQResult, error) {
-	defer tr.StartSpan("mwq")()
+func (e *Engine) mwq(chk *cancel.Checker, eb *explain.Builder, ct Item, q geom.Point, sr region.Set, opt Options) (MWQResult, error) {
 	spM := eb.Start("mwq", explain.RuleNone)
 	defer spM.End()
 	member, err := e.DB.WindowExistsChecked(chk, ct.Point, q, e.exclude(ct))
@@ -85,7 +84,7 @@ func (e *Engine) mwq(chk *cancel.Checker, tr *obs.Trace, eb *explain.Builder, ct
 		return MWQResult{}, err
 	}
 	if !member {
-		tr.Event("mwq.case", "already a reverse-skyline member")
+		eb.Event("mwq.case", "already a reverse-skyline member")
 		return MWQResult{
 			AlreadyMember: true,
 			SafeRegion:    sr,
@@ -111,7 +110,7 @@ func (e *Engine) mwq(chk *cancel.Checker, tr *obs.Trace, eb *explain.Builder, ct
 	if !overlap.IsEmpty() {
 		// Case C1 (steps 1–6): move q to the nearest point of each overlap
 		// rectangle; the why-not point stays put and the cost is zero.
-		tr.Eventf("mwq.case", "C1 overlap: %d rects", len(overlap))
+		eb.Eventf("mwq.case", "C1 overlap: %d rects", len(overlap))
 		cands := make([]Candidate, 0, len(overlap))
 		for _, r := range overlap {
 			p := r.NearestPoint(q)
@@ -143,7 +142,7 @@ func (e *Engine) mwq(chk *cancel.Checker, tr *obs.Trace, eb *explain.Builder, ct
 	// staying put is trivially safe and guarantees the paper's
 	// cost(MWQ) ≤ cost(MWP) property even when every corner is worse.
 	corners := append(positiveRects(sr).Corners(), q.Clone())
-	tr.Eventf("mwq.case", "C2 disjoint: %d safe-region corners", len(corners))
+	eb.Eventf("mwq.case", "C2 disjoint: %d safe-region corners", len(corners))
 	obs.AddSafeRegionVertices(len(corners))
 	spC := eb.Start("mwq.corners", explain.RuleMidpoint)
 	spC.SetIn(len(corners))
@@ -182,19 +181,16 @@ func (e *Engine) mwq(chk *cancel.Checker, tr *obs.Trace, eb *explain.Builder, ct
 	obs.AddDominanceTests(dt)
 	obs.AddPruned(len(ts) - len(qCands))
 
-	endCorners := tr.StartSpan("mwq.corners")
 	bestCost := math.Inf(1)
 	var bestQ geom.Point
 	var bestCt []Candidate
 	var qEvaluated []Candidate
 	for _, qc := range qCands {
 		if err := chk.Point(cancel.SiteMWQCorner); err != nil {
-			endCorners()
 			return MWQResult{}, err
 		}
 		res, err := e.mwp(chk, nil, ct, qc.pt, opt)
 		if err != nil {
-			endCorners()
 			return MWQResult{}, err
 		}
 		cost := res.Best().Cost
@@ -205,7 +201,6 @@ func (e *Engine) mwq(chk *cancel.Checker, tr *obs.Trace, eb *explain.Builder, ct
 			bestCt = res.Candidates
 		}
 	}
-	endCorners()
 	obs.AddCandidateEvaluations(len(qEvaluated))
 	spC.SetOut(len(qEvaluated))
 	sort.SliceStable(qEvaluated, func(a, b int) bool { return qEvaluated[a].Cost < qEvaluated[b].Cost })
@@ -247,7 +242,7 @@ func (e *Engine) MWQExactCtx(ctx context.Context, ct Item, q geom.Point, rsl []I
 	if err != nil {
 		return MWQResult{}, err
 	}
-	return e.mwq(chk, obs.TraceFrom(ctx), explain.From(ctx), ct, q, sr, opt)
+	return e.mwq(chk, explain.From(ctx), ct, q, sr, opt)
 }
 
 // MWQApproxCtx runs Algorithm 4 on the approximate safe region assembled from
@@ -258,19 +253,9 @@ func (e *Engine) MWQApproxCtx(ctx context.Context, ct Item, q geom.Point, rsl []
 	if err != nil {
 		return MWQResult{}, err
 	}
-	tr := obs.TraceFrom(ctx)
-	eb := explain.From(ctx)
-	endSR := tr.StartSpan("saferegion.approx")
-	spSR := eb.Start("saferegion.approx", explain.RuleSafeRegion)
-	spSR.SetIn(len(rsl))
-	sr, err := e.approxSafeRegion(chk, q, rsl, store)
-	if err == nil {
-		spSR.SetOut(len(sr))
-	}
-	spSR.End()
-	endSR()
+	sr, err := e.approxSafeRegionPhase(ctx, chk, q, rsl, store)
 	if err != nil {
 		return MWQResult{}, err
 	}
-	return e.mwq(chk, tr, eb, ct, q, sr, opt)
+	return e.mwq(chk, explain.From(ctx), ct, q, sr, opt)
 }

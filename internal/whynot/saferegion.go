@@ -30,15 +30,13 @@ func (e *Engine) SafeRegionCtx(ctx context.Context, q geom.Point, rsl []Item) (r
 	return e.exactSafeRegion(ctx, chk, q, rsl)
 }
 
-// exactSafeRegion runs Algorithm 3 under its "saferegion.exact" phase span
-// and plan node; every entry point that builds the exact region goes through
-// it, so traces and EXPLAIN plans do not depend on the fan-out width.
+// exactSafeRegion runs Algorithm 3 under its "saferegion.exact" phase; every
+// entry point that builds the exact region goes through it, so EXPLAIN plans
+// and flight records do not depend on the fan-out width.
 func (e *Engine) exactSafeRegion(ctx context.Context, chk *cancel.Checker, q geom.Point, rsl []Item) (region.Set, error) {
-	_, endPhase := obs.StartPhase(ctx, "saferegion.exact")
-	defer endPhase()
-	sp := explain.From(ctx).Start("saferegion.exact", explain.RuleSafeRegion)
+	sp, end := explain.StartPhase(ctx, "saferegion.exact", explain.RuleSafeRegion)
+	defer end()
 	sp.SetIn(len(rsl))
-	defer sp.End()
 	sr, err := e.safeRegion(ctx, chk, q, rsl)
 	if err == nil {
 		sp.SetOut(len(sr))
@@ -221,9 +219,20 @@ func (e *Engine) ApproxSafeRegionCtx(ctx context.Context, q geom.Point, rsl []It
 	if err != nil {
 		return nil, err
 	}
-	_, endPhase := obs.StartPhase(ctx, "saferegion.approx")
-	defer endPhase()
-	return e.approxSafeRegion(chk, q, rsl, store)
+	return e.approxSafeRegionPhase(ctx, chk, q, rsl, store)
+}
+
+// approxSafeRegionPhase runs the approximate construction under its
+// "saferegion.approx" phase, for both the bare region and the approx rung.
+func (e *Engine) approxSafeRegionPhase(ctx context.Context, chk *cancel.Checker, q geom.Point, rsl []Item, store *ApproxStore) (region.Set, error) {
+	sp, end := explain.StartPhase(ctx, "saferegion.approx", explain.RuleSafeRegion)
+	defer end()
+	sp.SetIn(len(rsl))
+	sr, err := e.approxSafeRegion(chk, q, rsl, store)
+	if err == nil {
+		sp.SetOut(len(sr))
+	}
+	return sr, err
 }
 
 func (e *Engine) approxSafeRegion(chk *cancel.Checker, q geom.Point, rsl []Item, store *ApproxStore) (region.Set, error) {

@@ -150,14 +150,12 @@ func (e *Engine) ExplainCtx(ctx context.Context, ct Item, q geom.Point) ([]Item,
 	if err != nil {
 		return nil, err
 	}
-	_, endPhase := obs.StartPhase(ctx, "explain")
-	defer endPhase()
-	sp := explain.From(ctx).Start("explain.window", explain.RuleDSLWindow)
+	sp, end := explain.StartPhase(ctx, "explain.window", explain.RuleDSLWindow)
+	defer end()
 	out, err := e.DB.WindowQueryChecked(chk, ct.Point, q, e.exclude(ct))
 	if err == nil {
 		sp.SetOut(len(out))
 	}
-	sp.End()
 	return out, err
 }
 
@@ -202,12 +200,9 @@ func (e *Engine) MWPCtx(ctx context.Context, ct Item, q geom.Point, opt Options)
 	if err != nil {
 		return MWPResult{}, err
 	}
-	_, endPhase := obs.StartPhase(ctx, "mwp")
-	defer endPhase()
-	eb := explain.From(ctx)
-	sp := eb.Start("mwp", explain.RuleNone)
-	defer sp.End()
-	return e.mwp(chk, eb, ct, q, opt)
+	_, end := explain.StartPhase(ctx, "mwp", explain.RuleNone)
+	defer end()
+	return e.mwp(chk, explain.From(ctx), ct, q, opt)
 }
 
 // mwp runs Algorithm 1. eb, when non-nil, receives the per-phase plan nodes

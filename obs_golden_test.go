@@ -173,7 +173,7 @@ func TestDisabledObservabilityIsInert(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		_, tr := db.StartTrace(ctx, "explain")
-		tr.StartSpan("phase")()
+		tr.Start("phase", "").End()
 		tr.Event("name", "detail")
 	}); allocs != 0 {
 		t.Errorf("disabled trace path allocates %v per op, want 0", allocs)
