@@ -121,6 +121,62 @@ func TestExplainFingerprintFeedsStore(t *testing.T) {
 	}
 }
 
+// TestExplainOnTracedContext: profiled queries sharing one traced context
+// each get their own plan, rooted at their own op and fingerprinted as if
+// profiled alone, while the trace records every phase of all of them and
+// stays open for later queries.
+func TestExplainOnTracedContext(t *testing.T) {
+	items := fig1()
+	db := NewDBWithOptions(2, items, DBOptions{Observability: true, FlightSize: 16})
+	q := NewPoint(8.5, 55)
+	ct := items[0]
+	rsl := db.ReverseSkyline(items, q)
+	ctx, tr := db.StartTrace(context.Background(), "session")
+
+	var plans []*ExplainPlan
+	for i := 0; i < 2; i++ {
+		_, plan, err := db.MWQExactExplain(ctx, ct, q, rsl, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, plan)
+	}
+	_, plan, err := db.MWPExplain(ctx, ct, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans = append(plans, plan)
+
+	if plans[0] == plans[1] || plans[0].Root == plans[1].Root {
+		t.Fatal("second MWQExactExplain returned the first plan")
+	}
+	for i, p := range plans[:2] {
+		if p.Op != "mwq" || p.Fingerprint != "5f968168f11c7ae0" {
+			t.Errorf("plan %d: op=%s fp=%s, want op=mwq fp=5f968168f11c7ae0\n%s", i, p.Op, p.Fingerprint, p.StableString())
+		}
+	}
+	last := plans[2]
+	if last.Op != "mwp" || len(last.Root.Children) == 0 || last.Root.Children[0].Name != "mwp" {
+		t.Errorf("MWPExplain plan is not rooted at its own mwp phase:\n%s", last.StableString())
+	}
+	last.Root.Walk(func(n *ExplainNode) {
+		if n.Name == "saferegion.exact" {
+			t.Errorf("MWPExplain plan carries an earlier query's node:\n%s", last.StableString())
+		}
+	})
+
+	count := map[string]int{}
+	for _, p := range tr.Phases() {
+		count[p.Name]++
+	}
+	if count["saferegion.exact"] != 2 || count["mwp"] != 2 {
+		t.Errorf("trace phases = %v, want every query's phases (2 saferegion.exact, mwp scope + phase)", count)
+	}
+	if tr.Start("later", explain.RuleNone) == nil {
+		t.Error("the trace stopped recording after a profiled query")
+	}
+}
+
 // TestExplainHooksDisabledAllocFree pins the zero-alloc contract of the
 // disabled path at the repro level: a context without StartExplain makes
 // every instrumentation hook a nil no-op that allocates nothing.

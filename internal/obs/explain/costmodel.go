@@ -26,8 +26,13 @@ const (
 	numRules
 )
 
+// ruleIndex maps a rule to its calibration slot, or -1 for the rules the
+// model does not price: a ladder rung's time is its phases', and a wait is
+// load, not work.
 func ruleIndex(rule string) int {
 	switch rule {
+	case RuleLadder, RuleWait:
+		return -1
 	case RuleGlobalDominance:
 		return ruleIdxGlobalDominance
 	case RuleDSLWindow:
@@ -87,20 +92,22 @@ func NewModel() *Model {
 
 // Estimate prices units of work under the given rule, in nanoseconds.
 func (m *Model) Estimate(rule string, units int64) int64 {
-	if m == nil || units <= 0 {
+	i := ruleIndex(rule)
+	if m == nil || units <= 0 || i < 0 {
 		return 0
 	}
-	ns := math.Float64frombits(m.nsPerUnit[ruleIndex(rule)].Load())
+	ns := math.Float64frombits(m.nsPerUnit[i].Load())
 	return int64(ns * float64(units))
 }
 
 // Observe feeds a measured node back into calibration.
 func (m *Model) Observe(rule string, units, actualNS int64) {
-	if m == nil || units <= 0 || actualNS < 0 {
+	i := ruleIndex(rule)
+	if m == nil || units <= 0 || actualNS < 0 || i < 0 {
 		return
 	}
 	perUnit := float64(actualNS) / float64(units)
-	slot := &m.nsPerUnit[ruleIndex(rule)]
+	slot := &m.nsPerUnit[i]
 	for {
 		old := slot.Load()
 		next := (1-ewmaWeight)*math.Float64frombits(old) + ewmaWeight*perUnit

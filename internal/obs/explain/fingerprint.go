@@ -159,7 +159,9 @@ func (s *Store) Observe(p *Plan) (drifting bool) {
 		s.classes[p.Fingerprint] = c
 	}
 	c.count++
-	lat := float64(p.TotalNS)
+	// Queueing for admission is load, not the query shape: a baseline
+	// frozen at low load would otherwise read later queueing as drift.
+	lat := float64(p.TotalNS - waitNS(p.Root))
 	c.latRing[c.ringI] = lat
 	c.costRing[c.ringI] = cost
 	c.pruneRing[c.ringI] = prune
