@@ -16,8 +16,10 @@
 //   - each worker goroutine builds its own cancel.Checker from the shared
 //     context (Checkers are deliberately single-goroutine), so deadlines and
 //     fault-injection hooks keep working inside parallel sections;
-//   - the first error wins and stops further work; remaining jobs drain
-//     without running;
+//   - workers claim job indices from a shared atomic counter, so a fan-out
+//     costs one atomic add per job and no channel handoff;
+//   - the first error wins and stops further work: no job is claimed after
+//     a worker observes it;
 //   - a panic in any worker is re-raised on the calling goroutine after all
 //     workers have exited, so recovery middleware above the pool still sees
 //     it and no goroutine leaks;
@@ -110,18 +112,17 @@ func ForEach(ctx context.Context, n int, site string, fn func(chk *cancel.Checke
 		return nil
 	}
 
-	// enq holds per-job enqueue timestamps when metrics are on. The sender
-	// writes enq[i] before jobs <- i and the worker reads it after receiving
-	// i, so the channel gives the happens-before edge.
-	var enq []int64
+	// Workers claim job indices from the pool's counter; there is no
+	// dispatcher goroutine and no per-job handoff. A job's queue wait is its
+	// claim time minus the fan-out start.
+	var began int64
 	if m != nil {
 		m.Fanouts.Inc()
 		m.Jobs.Add(uint64(n))
 		m.WorkersSpawned.Add(uint64(workers))
-		enq = make([]int64, n)
+		began = obs.Now()
 	}
 	var pool pool
-	jobs := make(chan int)
 	for w := 0; w < workers; w++ {
 		pool.wg.Add(1)
 		go func() {
@@ -138,29 +139,23 @@ func ForEach(ctx context.Context, n int, site string, fn func(chk *cancel.Checke
 					before := chk.Visits()
 					defer func() { m.Checkpoints.Add(chk.Visits() - before) }()
 				}
-				for i := range jobs {
-					if pool.stopped() {
-						continue // drain remaining jobs without working
+				for {
+					i, ok := pool.claim(n)
+					if !ok {
+						return
 					}
 					if m == nil {
 						pool.run(chk, i, site, fn)
 						continue
 					}
 					start := obs.Now()
-					m.QueueWait.Observe(obs.SecondsSince(enq[i]))
+					m.QueueWait.Observe(float64(start-began) / 1e9)
 					pool.run(chk, i, site, fn)
 					m.JobDuration.ObserveSince(start)
 				}
 			})
 		}()
 	}
-	for i := 0; i < n; i++ {
-		if m != nil {
-			enq[i] = obs.Now()
-		}
-		jobs <- i
-	}
-	close(jobs)
 	pool.wg.Wait()
 	return pool.finish()
 }

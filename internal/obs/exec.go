@@ -21,7 +21,8 @@ type ExecMetrics struct {
 	// Checkpoints counts cancellation checkpoints fired inside pool workers
 	// and inline loops (summed from each checker's visit count).
 	Checkpoints *Counter
-	// QueueWait observes seconds each job spent between enqueue and pickup.
+	// QueueWait observes seconds between a fan-out's start and each job's
+	// claim by a worker.
 	QueueWait *Histogram
 	// JobDuration observes seconds each job spent executing.
 	JobDuration *Histogram
@@ -36,7 +37,7 @@ func NewExecMetrics(r *Registry) *ExecMetrics {
 		Jobs:           r.Counter("exec_jobs_total", "jobs executed by ForEach (inline or pooled)"),
 		WorkersSpawned: r.Counter("exec_workers_spawned_total", "worker goroutines started"),
 		Checkpoints:    r.Counter("exec_checkpoints_total", "cancellation checkpoints fired inside ForEach"),
-		QueueWait:      r.Histogram("exec_queue_wait_seconds", "job wait between enqueue and worker pickup", nil),
+		QueueWait:      r.Histogram("exec_queue_wait_seconds", "job wait between fan-out start and worker claim", nil),
 		JobDuration:    r.Histogram("exec_job_duration_seconds", "job execution time", nil),
 	}
 }

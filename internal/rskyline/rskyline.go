@@ -51,9 +51,10 @@ type DB struct {
 	// another generation as misses, which closes the compute-mutate-store
 	// invalidation race without holding any lock across a computation.
 	gen atomic.Uint64
-	// itemCache memoises Tree().Items() for the candidate-generation paths;
-	// guarded by itemMu and invalidated on mutation, so concurrent read-only
-	// queries stay race-free.
+	// itemCache memoises Tree().Items() for ReverseSkylineMono, the one
+	// candidate path that scans every product rather than traversing the
+	// index; guarded by itemMu and invalidated on mutation, so concurrent
+	// read-only queries stay race-free.
 	itemMu    sync.Mutex
 	itemCache []Item
 	// dsl memoises dynamic skylines per customer ID (nil = caching off).
@@ -377,10 +378,15 @@ func (db *DB) ReverseSkylineCtx(ctx context.Context, customers []Item, q geom.Po
 // ReverseSkylineFilteredCtx computes RSL(q) with the global-skyline candidate
 // filter: a customer globally dominated (w.r.t. q) by any product cannot be
 // in RSL(q), and it suffices to test against the global skyline of P. The
-// surviving candidates are verified with window-existence queries. The result
-// is identical to ReverseSkylineCtx; only the work differs.
+// global skyline comes from the R*-tree's BBRS traversal, which touches only
+// the index fraction that can hold skyline points; the surviving customers
+// are verified with window-existence queries. The result is identical to
+// ReverseSkylineCtx, in customer order; only the work differs.
 func (db *DB) ReverseSkylineFilteredCtx(ctx context.Context, customers []Item, q geom.Point) ([]Item, error) {
-	gsp := skyline.GlobalSkyline(db.Items(), q)
+	gsp, err := db.globalSkylineBBS(cancel.FromContext(ctx), q)
+	if err != nil {
+		return nil, err
+	}
 	return db.members(ctx, customers, q, func(c Item) bool {
 		dt := 0 // batched per customer: workers share the global counter
 		defer func() { obs.AddDominanceTests(dt) }()

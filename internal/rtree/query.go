@@ -109,8 +109,11 @@ func (t *Tree) Items() []Item {
 // ---- best-first (branch-and-bound) traversal -------------------------------
 
 // pqEntry is a heap element: either an internal node or a concrete item.
+// rect is the entry's rectangle as stored in its parent (the node's MBR, or
+// the item's point rect), so the pop-time prune needs no recomputation.
 type pqEntry struct {
 	key  float64
+	rect geom.Rect
 	node *node
 	item Item
 	leaf bool
@@ -172,7 +175,8 @@ func (t *Tree) bestFirst(
 		return
 	}
 	h := &pq{}
-	heap.Push(h, pqEntry{key: rectKey(t.root.mbr()), node: t.root})
+	root := t.root.mbr()
+	heap.Push(h, pqEntry{key: rectKey(root), rect: root, node: t.root})
 	for h.Len() > 0 {
 		if chk.Point(cancel.SiteRTreeNode) != nil {
 			return
@@ -181,34 +185,26 @@ func (t *Tree) bestFirst(
 		if e.node != nil {
 			t.recordAccess(e.node.level)
 		}
+		if prune != nil && prune(e.rect) {
+			t.pruned.Add(1)
+			continue
+		}
 		if e.leaf {
-			if prune != nil && prune(geom.PointRect(e.item.Point)) {
-				t.pruned.Add(1)
-				continue
-			}
 			if !fn(e.item, e.key) {
 				return
 			}
 			continue
 		}
-		if prune != nil && prune(e.node.mbr()) {
-			t.pruned.Add(1)
-			continue
-		}
 		prunedHere := int64(0)
 		for _, ne := range e.node.entries {
+			if prune != nil && prune(ne.rect) {
+				prunedHere++
+				continue
+			}
 			if e.node.leaf {
-				if prune != nil && prune(ne.rect) {
-					prunedHere++
-					continue
-				}
-				heap.Push(h, pqEntry{key: itemKey(ne.item.Point), item: ne.item, leaf: true})
+				heap.Push(h, pqEntry{key: itemKey(ne.item.Point), rect: ne.rect, item: ne.item, leaf: true})
 			} else {
-				if prune != nil && prune(ne.rect) {
-					prunedHere++
-					continue
-				}
-				heap.Push(h, pqEntry{key: rectKey(ne.rect), node: ne.child})
+				heap.Push(h, pqEntry{key: rectKey(ne.rect), rect: ne.rect, node: ne.child})
 			}
 		}
 		if prunedHere > 0 {

@@ -93,6 +93,12 @@ type node struct {
 	entries []entry
 }
 
+// leafRect is a leaf entry's rectangle: the degenerate rect at the item's
+// point, aliasing the point for both corners. No tree code writes an entry
+// rect in place (unions and MBRs always build fresh rects), so the alias
+// saves two point copies per stored item.
+func leafRect(it Item) geom.Rect { return geom.Rect{Lo: it.Point, Hi: it.Point} }
+
 func (n *node) mbr() geom.Rect {
 	r := n.entries[0].rect.Clone()
 	for _, e := range n.entries[1:] {
@@ -147,7 +153,7 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 
 // Insert adds an item to the tree.
 func (t *Tree) Insert(it Item) {
-	e := entry{rect: geom.PointRect(it.Point), item: it}
+	e := entry{rect: leafRect(it), item: it}
 	reinserted := make(map[int]bool) // levels that already did forced reinsert
 	t.insertEntry(e, 0, reinserted)
 	t.size++
@@ -502,9 +508,9 @@ func BulkLoad(dims int, items []Item, cfg Config) *Tree {
 func strPack(items []Item, M, dims int) []*node {
 	entries := make([]entry, len(items))
 	for i, it := range items {
-		entries[i] = entry{rect: geom.PointRect(it.Point), item: it}
+		entries[i] = entry{rect: leafRect(it), item: it}
 	}
-	groups := strTile(entries, M, dims, 0, func(e entry, d int) float64 { return e.rect.Center()[d] })
+	groups := strTile(entries, M, dims, 0, centre)
 	leaves := make([]*node, len(groups))
 	for i, g := range groups {
 		leaves[i] = &node{leaf: true, level: 0, entries: g}
@@ -517,13 +523,18 @@ func packNodes(children []*node, M, dims, level int) []*node {
 	for i, c := range children {
 		entries[i] = entry{rect: c.mbr(), child: c}
 	}
-	groups := strTile(entries, M, dims, 0, func(e entry, d int) float64 { return e.rect.Center()[d] })
+	groups := strTile(entries, M, dims, 0, centre)
 	out := make([]*node, len(groups))
 	for i, g := range groups {
 		out[i] = &node{leaf: false, level: level, entries: g}
 	}
 	return out
 }
+
+// centre is the STR sort key: the entry rect's centre along dimension d,
+// computed without materialising the centre point (the sorts call it on
+// every comparison).
+func centre(e entry, d int) float64 { return (e.rect.Lo[d] + e.rect.Hi[d]) / 2 }
 
 // strTile recursively sorts by successive dimensions and slices into tiles.
 // Every returned group owns its backing array: groups become node entry
@@ -590,9 +601,6 @@ func (t *Tree) checkInvariants() error {
 			if e.child.level != n.level-1 {
 				return fmt.Errorf("child level %d under parent level %d", e.child.level, n.level)
 			}
-			if !e.rect.ContainsRect(e.child.mbr()) {
-				return fmt.Errorf("entry rect %v does not cover child MBR %v", e.rect, e.child.mbr())
-			}
 			if err := walk(e.child, false); err != nil {
 				return err
 			}
@@ -605,5 +613,32 @@ func (t *Tree) checkInvariants() error {
 	if count != t.size {
 		return fmt.Errorf("size mismatch: counted %d, recorded %d", count, t.size)
 	}
-	return nil
+	return t.checkRects()
+}
+
+// checkRects validates that every internal entry rect equals its child's
+// MBR exactly, not merely covers it: traversals prune on the entry rect in
+// place of the child's MBR, so a loose rect would change which subtrees they
+// visit. Unlike the fill invariants it also holds for STR-packed trees, whose
+// last node per level may be underfull. Used by tests.
+func (t *Tree) checkRects() error {
+	if t.size == 0 {
+		return nil
+	}
+	var walk func(n *node) error
+	walk = func(n *node) error {
+		if n.leaf {
+			return nil
+		}
+		for _, e := range n.entries {
+			if m := e.child.mbr(); !e.rect.Lo.Equal(m.Lo) || !e.rect.Hi.Equal(m.Hi) {
+				return fmt.Errorf("entry rect %v at level %d is not the child MBR %v", e.rect, n.level, m)
+			}
+			if err := walk(e.child); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return walk(t.root)
 }

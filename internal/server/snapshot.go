@@ -38,13 +38,18 @@ type Snapshot struct {
 	// Seq is the monotone swap sequence number (1 = boot snapshot).
 	Seq uint64
 
-	byID map[int]repro.Item
+	// byID maps an item ID to its position in Items: an int32 index keeps
+	// the map at a third of the size of one holding the items themselves.
+	byID map[int]int32
 }
 
 // Customer looks a dataset item up by ID.
 func (s *Snapshot) Customer(id int) (repro.Item, bool) {
-	it, ok := s.byID[id]
-	return it, ok
+	i, ok := s.byID[id]
+	if !ok {
+		return repro.Item{}, false
+	}
+	return s.Items[i], true
 }
 
 // loadItems resolves a DatasetSpec to its item list and display name.
@@ -94,10 +99,10 @@ func snapshotFromItems(ctx context.Context, items []repro.Item, name string, bui
 		DB:    db,
 		Items: items,
 		Name:  name,
-		byID:  make(map[int]repro.Item, len(items)),
+		byID:  make(map[int]int32, len(items)),
 	}
-	for _, it := range items {
-		snap.byID[it.ID] = it
+	for i, it := range items {
+		snap.byID[it.ID] = int32(i)
 	}
 	if buildStore {
 		if k <= 0 {
