@@ -37,7 +37,7 @@ vet:
 # clock and internal/experiments measures wall-clock by design; both are
 # exempt, as are tests and the cmd/ front-ends.
 OBS_LINT_PKGS = internal/rtree internal/skyline internal/rskyline internal/whynot \
-	internal/exec internal/region internal/geom internal/cancel internal/grid \
+	internal/exec internal/region internal/geom internal/cancel \
 	internal/engine internal/obs/explain internal/obs/flight
 vet-obs: vet
 	@bad=$$(grep -rn 'time\.Now()' $(OBS_LINT_PKGS) --include='*.go' | grep -v _test.go || true); \

@@ -12,7 +12,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/experiments"
-	"repro/internal/grid"
 	"repro/internal/region"
 	"repro/internal/rskyline"
 	"repro/internal/rtree"
@@ -67,8 +66,9 @@ func BenchmarkAblationPageSize(b *testing.B) {
 	}
 }
 
-// Ablation 3: reverse-skyline computation with and without the
-// global-skyline candidate filter, plus the index-based BBRS traversal.
+// Ablation 3: reverse-skyline computation over every product against the
+// index-based BBRS traversal, whose global-skyline candidates skip most
+// window queries.
 func BenchmarkAblationRSLFilter(b *testing.B) {
 	items := benchItems(benchSize)
 	db := rskyline.NewDB(2, items, rtree.Config{})
@@ -76,11 +76,6 @@ func BenchmarkAblationRSLFilter(b *testing.B) {
 	b.Run("unfiltered", func(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			db.ReverseSkylineCtx(context.Background(), items, q)
-		}
-	})
-	b.Run("global-filter", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			db.ReverseSkylineMono(q)
 		}
 	})
 	b.Run("bbrs-index", func(b *testing.B) {
@@ -159,28 +154,4 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-// Ablation 6: index substrate — R*-tree vs uniform grid for the window
-// existence test, on uniform (grid-friendly) and CarDB (skewed) data.
-func BenchmarkAblationIndexSubstrate(b *testing.B) {
-	for _, kind := range []datagen.Kind{datagen.Uniform, datagen.CarDB} {
-		items := datagen.Generate(kind, benchSize, 2, 99)
-		db := rskyline.NewDB(2, items, rtree.Config{})
-		g := grid.New(2, items, 128)
-		b.Run(kind.String()+"/rtree", func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				c := items[n%len(items)]
-				q := items[(n*7+1)%len(items)]
-				db.WindowExistsChecked(nil, c.Point, q.Point, c.ID)
-			}
-		})
-		b.Run(kind.String()+"/grid", func(b *testing.B) {
-			for n := 0; n < b.N; n++ {
-				c := items[n%len(items)]
-				q := items[(n*7+1)%len(items)]
-				g.WindowExists(c.Point, q.Point, c.ID)
-			}
-		})
-	}
 }

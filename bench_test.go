@@ -18,7 +18,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/rskyline"
 	"repro/internal/rtree"
-	"repro/internal/skyline"
 	"repro/internal/whynot"
 )
 
@@ -252,31 +251,6 @@ func BenchmarkReverseSkylineUnfiltered(b *testing.B) {
 	}
 }
 
-func BenchmarkStaticSkylineAlgorithms(b *testing.B) {
-	items := benchItems(benchSize)
-	tr := rtree.BulkLoad(2, items, rtree.Config{})
-	b.Run("BNL", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			skyline.BNL(items)
-		}
-	})
-	b.Run("SFS", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			skyline.SFS(items)
-		}
-	})
-	b.Run("DC", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			skyline.DC(items)
-		}
-	})
-	b.Run("BBS", func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			skyline.BBS(tr)
-		}
-	})
-}
-
 // Parallel-executor benchmarks on the CarDB-50K workload (the JSON smoke run
 // with a fixed configuration is `make bench-smoke` / cmd/parallelbench).
 
@@ -351,7 +325,7 @@ func BenchmarkSafeRegionParallel(b *testing.B) {
 func BenchmarkApproxStoreBuild(b *testing.B) {
 	items := benchItems(2000)
 	db := rskyline.NewDB(2, items, rtree.Config{})
-	e := whynot.NewEngine(db, true)
+	e := whynot.NewEngine(db)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		e.BuildApproxStoreCtx(context.Background(), items[:200], 10, 0)

@@ -214,3 +214,33 @@ func TestGoldenMWQ(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenMQPTotalCostCarDB pins one §VI.A total cost on CarDB data with
+// exact float equality: the α-distance of an MQP answer from the safe region
+// plus the MWP cost of winning back each of the ten (of eleven)
+// reverse-skyline customers the move loses. The customers are the product
+// records themselves, so a change to which customers count as lost (the
+// monochromatic self-exclusion included) or to any MWP cost moves the bits.
+func TestGoldenMQPTotalCostCarDB(t *testing.T) {
+	const want = 0.3121472443575362
+	products, err := repro.GenerateDataset("CarDB", 2000, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := products[100].Point
+	ct := products[0]
+	for name, db := range map[string]*repro.DB{
+		"sequential": repro.NewDB(2, products),
+		"parallel":   repro.NewDBWithOptions(2, products, repro.DBOptions{Parallelism: 2}),
+	} {
+		rsl := db.ReverseSkyline(products, q)
+		sr := db.SafeRegion(q, rsl)
+		qStar := db.MQP(ct, q, repro.Options{}).Best().Point
+		if lost := db.LostCustomers(qStar, rsl); len(rsl) != 11 || len(lost) != 10 {
+			t.Fatalf("%s: |rsl|=%d lost=%d, want 11 and 10", name, len(rsl), len(lost))
+		}
+		if got := db.MQPTotalCost(q, qStar, rsl, sr, repro.Options{}); got != want {
+			t.Fatalf("%s: MQP total cost = %v, want %v", name, got, want)
+		}
+	}
+}

@@ -28,8 +28,8 @@ const (
 	// SiteRTreeNode fires once per R-tree node visited by any traversal
 	// (window search, existence probe, best-first, guided search).
 	SiteRTreeNode = "rtree.node"
-	// SiteCustomer fires once per customer in reverse-skyline verification
-	// loops (ReverseSkyline, filtered/mono/BBRS variants, LostCustomers).
+	// SiteCustomer fires once per customer in the reverse-skyline membership
+	// loop (every RSL variant, lost customers, the MQP total cost).
 	SiteCustomer = "rskyline.customer"
 	// SiteSafeRegion fires once per reverse-skyline member whose anti-DDR is
 	// intersected into the exact safe region (Algorithm 3's outer loop) and

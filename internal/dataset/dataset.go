@@ -238,7 +238,9 @@ type QueryCase struct {
 // outside the RSL. Targets with no hit within maxTrials are skipped, mirroring
 // the paper's tables where some sizes are absent. A nil customers slice
 // selects the monochromatic setting — the customers are the product records
-// themselves — which uses a much faster global-skyline candidate path.
+// themselves — whose RSL comes from the index-based BBRS pipeline
+// (candidates = the global skyline), in candidate order rather than ID
+// order.
 func FindQueries(db *rskyline.DB, customers []Item, targets []int, maxTrials int, rng *rand.Rand) []QueryCase {
 	mono := customers == nil
 	if mono {
@@ -260,11 +262,11 @@ func FindQueries(db *rskyline.DB, customers []Item, targets []int, maxTrials int
 			span := bounds.Hi[i] - bounds.Lo[i]
 			q[i] = base[i] + (rng.Float64()-0.5)*0.02*span
 		}
+		// A background context cannot be cancelled: no error.
 		var rsl []Item
 		if mono {
-			rsl = db.ReverseSkylineMono(q)
+			rsl, _ = db.ReverseSkylineBBRSCtx(context.Background(), q)
 		} else {
-			// A background context cannot be cancelled: no error.
 			rsl, _ = db.ReverseSkylineFilteredCtx(context.Background(), customers, q)
 		}
 		size := len(rsl)

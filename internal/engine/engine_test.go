@@ -39,7 +39,7 @@ func must[T any](v T, err error) T {
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	products := datagen.Generate(datagen.AntiCorrelated, 400, 2, 7)
-	e := whynot.NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := whynot.NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	q := products[13].Point.Clone()
 	q[0] *= 1.02
 	rsl := must(e.DB.ReverseSkylineFilteredCtx(context.Background(), products, q))

@@ -64,7 +64,7 @@ func NewSuiteFromItems(name string, items []Item, targets []int, seed int64) *Su
 	cases := dataset.FindQueries(db, nil, targets, maxTrials, rng)
 	return &Suite{
 		Name:   name,
-		Engine: whynot.NewEngine(db, true),
+		Engine: whynot.NewEngine(db),
 		Items:  items,
 		Cases:  cases,
 	}

@@ -208,22 +208,6 @@ func (r Rect) MinDistL1(p Point) float64 {
 	return s
 }
 
-// MinDistL2 returns the minimum Euclidean distance from p to any point in r.
-func (r Rect) MinDistL2(p Point) float64 {
-	var s float64
-	for i := range p {
-		var d float64
-		switch {
-		case p[i] < r.Lo[i]:
-			d = r.Lo[i] - p[i]
-		case p[i] > r.Hi[i]:
-			d = p[i] - r.Hi[i]
-		}
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
 // TransformMinMax returns the rectangle of transformed coordinates |c−x| for
 // x ∈ r: per dimension the minimum and maximum absolute distance from c to
 // the interval [Lo_i, Hi_i]. It is used for branch-and-bound pruning in the

@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -128,9 +127,6 @@ func TestNearestPointAndMinDist(t *testing.T) {
 		if got := r.MinDistL1(c.p); got != c.l1 {
 			t.Errorf("MinDistL1(%v) = %v, want %v", c.p, got, c.l1)
 		}
-	}
-	if got := r.MinDistL2(NewPoint(7, 8)); math.Abs(got-5) > 1e-12 {
-		t.Errorf("MinDistL2 = %v, want 5", got)
 	}
 }
 

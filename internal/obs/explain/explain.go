@@ -63,8 +63,6 @@ func RegisterTraceHealth(r *obs.Registry) {
 // snapshots around each plan node (implemented by *rtree.Tree). Defined here
 // so the package depends only on internal/obs.
 type TreeStats interface {
-	Accesses() int
-	LeafScans() int
 	LevelAccesses() []int64
 	Pruned() int
 }
@@ -170,8 +168,6 @@ type Span struct {
 
 	startNS     int64
 	startCost   obs.CostSnapshot
-	startAcc    int
-	startLeaf   int
 	startPruned int
 	startLevels []int64
 }
@@ -233,8 +229,6 @@ func (b *Builder) open(name, rule string) *Span {
 		startCost: obs.Cost(),
 	}
 	if b.tree != nil {
-		sp.startAcc = b.tree.Accesses()
-		sp.startLeaf = b.tree.LeafScans()
 		sp.startPruned = b.tree.Pruned()
 		sp.startLevels = b.tree.LevelAccesses()
 	}
@@ -328,9 +322,9 @@ func (sp *Span) endLocked() {
 	n.ActualNS = obs.Now() - sp.startNS
 	n.Cost = obs.Cost().Sub(sp.startCost)
 	if b.tree != nil {
-		n.NodeAccesses = b.tree.Accesses() - sp.startAcc
-		n.LeafScans = b.tree.LeafScans() - sp.startLeaf
 		n.TreePruned = b.tree.Pruned() - sp.startPruned
+		// One read of the level vector gives all three access figures: the
+		// node total is the sum of the level deltas, the leaf scans level 0.
 		levels := b.tree.LevelAccesses()
 		for i, v := range levels {
 			var prev int64
@@ -342,6 +336,10 @@ func (sp *Span) endLocked() {
 					n.LevelAccesses = make([]int64, len(levels))
 				}
 				n.LevelAccesses[i] = d
+				n.NodeAccesses += int(d)
+				if i == 0 {
+					n.LeafScans = int(d)
+				}
 			}
 		}
 	}

@@ -203,10 +203,10 @@ func TestBBRSAgreesWithOracle(t *testing.T) {
 // per-customer machinery comes from the DSL and reverse-skyline suites above.
 func TestSafeRegionMembershipAgreesWithOracle(t *testing.T) {
 	forEachConfigMaxDim(t, 3, func(t *testing.T, f fixture) {
-		eng := whynot.NewEngine(f.db, false)
+		eng := whynot.NewEngine(f.db)
 		cachedDB := rskyline.NewDB(f.db.Dims(), f.products, rtree.Config{})
 		cachedDB.EnableDSLCache(64)
-		cachedEng := whynot.NewEngine(cachedDB, false)
+		cachedEng := whynot.NewEngine(cachedDB)
 		cachedEng.EnableAntiDDRCache(64)
 
 		// Exact safe regions grow combinatorially with |RSL| and with
@@ -258,6 +258,72 @@ func TestSafeRegionMembershipAgreesWithOracle(t *testing.T) {
 		}
 		if cachedEng.AntiDDRCacheStats().Hits == 0 {
 			t.Fatal("repeated construction did not hit the anti-DDR cache")
+		}
+	})
+}
+
+// TestLostCustomersAndMQPCostAgreeWithOracle checks the two why-not measures
+// built on the reverse-skyline membership loop. LostCustomersCtx must return
+// exactly the members of RSL(q) that fail the Definition 3 test at q*, in
+// RSL order, at every width. MQPTotalCostCtx must equal the α-distance from
+// the safe region's nearest point to q* plus the MWP cost of winning back
+// each of those customers, summed in the same order (so bit-for-bit equal).
+func TestLostCustomersAndMQPCostAgreeWithOracle(t *testing.T) {
+	forEachConfig(t, func(t *testing.T, f fixture) {
+		eng := whynot.NewEngine(f.db)
+		u, _ := f.db.Universe()
+		lostSeen := 0
+		for i := 0; i < 4; i++ {
+			q := f.queryPoint()
+			rsl := oracle.ReverseSkyline(f.products, f.customers, q)
+			qStar := f.queryPoint()
+			var want []oracle.Item
+			for _, c := range rsl {
+				if !oracle.IsReverseSkyline(f.products, c, qStar) {
+					want = append(want, c)
+				}
+			}
+			lostSeen += len(want)
+
+			// A small box around q stands in for its safe region, so the
+			// α-distance is charged from the box's nearest point.
+			half := u.Hi.Sub(u.Lo).Scale(0.01)
+			sr := region.Set{{Lo: q.Sub(half), Hi: q.Add(half)}}
+			anchor, _, _ := sr.NearestPoint(qStar, nil)
+			wantCost := eng.Norm.NormalizedL1(anchor, qStar, nil)
+			for _, c := range want {
+				res, err := eng.MWPCtx(context.Background(), c, qStar, whynot.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantCost += res.Best().Cost
+			}
+
+			for _, workers := range []int{1, 2} {
+				ctx := exec.WithWorkers(context.Background(), workers)
+				got, err := eng.LostCustomersCtx(ctx, qStar, rsl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("w=%d: %d lost customers, oracle says %d", workers, len(got), len(want))
+				}
+				for k := range want {
+					if got[k].ID != want[k].ID {
+						t.Fatalf("w=%d: lost[%d] = %d, oracle says %d (order must follow rsl)", workers, k, got[k].ID, want[k].ID)
+					}
+				}
+				cost, err := eng.MQPTotalCostCtx(ctx, q, qStar, rsl, sr, whynot.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cost != wantCost {
+					t.Fatalf("w=%d: MQP total cost %v, want %v", workers, cost, wantCost)
+				}
+			}
+		}
+		if lostSeen == 0 {
+			t.Fatal("no customer lost at any q*: test vacuous")
 		}
 	})
 }

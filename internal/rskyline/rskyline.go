@@ -5,9 +5,13 @@
 //
 // Membership is verified by the window-query test of §II of the paper: c is
 // in RSL(q) iff the window query centred at c with half-extent |c − q| finds
-// no product that dynamically dominates q with respect to c. A
-// Dellis–Seeger-style candidate filter based on the global skyline of P
-// (package skyline) prunes most customers before any window query runs.
+// no product that dynamically dominates q with respect to c. Every
+// membership check in the repository — the reverse-skyline variants here and
+// the lost-customer and MQP-cost measures of package whynot — runs that test
+// through one loop, DB.members. The variants differ only in their
+// candidates: the customers as given, those surviving a Dellis–Seeger-style
+// filter against the global skyline of P, or (monochromatically) the global
+// skyline itself, taken from the R*-tree by package skyline's BBRS traversal.
 package rskyline
 
 import (
@@ -51,12 +55,6 @@ type DB struct {
 	// another generation as misses, which closes the compute-mutate-store
 	// invalidation race without holding any lock across a computation.
 	gen atomic.Uint64
-	// itemCache memoises Tree().Items() for ReverseSkylineMono, the one
-	// candidate path that scans every product rather than traversing the
-	// index; guarded by itemMu and invalidated on mutation, so concurrent
-	// read-only queries stay race-free.
-	itemMu    sync.Mutex
-	itemCache []Item
 	// dsl memoises dynamic skylines per customer ID (nil = caching off).
 	dsl *exec.Cache[int, dslEntry]
 }
@@ -149,32 +147,6 @@ func (db *DB) Delete(it Item) bool {
 func (db *DB) mutated() {
 	db.gen.Add(1)
 	db.dsl.Purge()
-	db.invalidateItems()
-}
-
-func (db *DB) invalidateItems() {
-	db.itemMu.Lock()
-	db.itemCache = nil
-	db.itemMu.Unlock()
-}
-
-// Items returns all products, memoised between mutations. Callers must not
-// modify the returned slice. Safe for concurrent use alongside other
-// read-only queries.
-func (db *DB) Items() []Item {
-	db.itemMu.Lock()
-	defer db.itemMu.Unlock()
-	if db.itemCache == nil {
-		db.itemCache = db.snapshotItems()
-	}
-	return db.itemCache
-}
-
-// snapshotItems reads the full item list under the tree read lock.
-func (db *DB) snapshotItems() []Item {
-	db.treeMu.RLock()
-	defer db.treeMu.RUnlock()
-	return db.tree.Items()
 }
 
 // WindowQueryChecked returns Λ = window_query(c, q): every product inside
@@ -402,24 +374,16 @@ func (db *DB) ReverseSkylineFilteredCtx(ctx context.Context, customers []Item, q
 	})
 }
 
-// ReverseSkylineMono computes RSL(q) in the monochromatic setting where the
-// customer preferences are the product records themselves (the paper's
-// experimental setup). Since a reverse-skyline member cannot be globally
-// dominated by any product, the candidates are exactly the global skyline of
-// the dataset, so only |GSP| window queries run instead of |P|.
-func (db *DB) ReverseSkylineMono(q geom.Point) []Item {
-	out, _ := db.members(context.Background(), skyline.GlobalSkyline(db.Items(), q), q, nil)
-	return out
-}
-
-// ReverseSkylineBBRSCtx computes RSL(q) in the monochromatic setting with the
-// full index-based BBRS pipeline (Dellis & Seeger, VLDB 2007): the global
-// skyline candidates come from a branch-and-bound traversal of the R*-tree
-// (touching only the index fraction that can contain candidates) and each
-// candidate is verified with an existence window query. Identical results to
-// ReverseSkylineMono. The candidate traversal runs on the calling goroutine
-// (it is a small, inherently ordered fraction of the work); only the
-// verification fans out.
+// ReverseSkylineBBRSCtx computes RSL(q) in the monochromatic setting, where
+// the customer preferences are the product records themselves (the paper's
+// experimental setup), with the full index-based BBRS pipeline (Dellis &
+// Seeger, VLDB 2007). A reverse-skyline member cannot be globally dominated
+// by any product, so the candidates are exactly the global skyline of the
+// dataset; they come from a branch-and-bound traversal of the R*-tree
+// (touching only the index fraction that can contain candidates) and each is
+// verified with an existence window query. The candidate traversal runs on
+// the calling goroutine (it is a small, inherently ordered fraction of the
+// work); only the verification fans out.
 func (db *DB) ReverseSkylineBBRSCtx(ctx context.Context, q geom.Point) ([]Item, error) {
 	cands, err := db.globalSkylineBBS(cancel.FromContext(ctx), q)
 	if err != nil {

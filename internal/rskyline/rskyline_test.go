@@ -282,11 +282,8 @@ func TestReverseSkylineBBRSMatchesMono(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 20; trial++ {
 		q := geom.NewPoint(rng.Float64()*100, rng.Float64()*100)
-		want := ids(db.ReverseSkylineMono(q))
+		// The monochromatic RSL: every product record is a customer.
 		got := ids(must(db.ReverseSkylineBBRSCtx(context.Background(), q)))
-		if !equalInts(got, want) {
-			t.Fatalf("trial %d: BBRS=%v mono=%v", trial, got, want)
-		}
 		plain := ids(must(db.ReverseSkylineCtx(context.Background(), products, q)))
 		if !equalInts(got, plain) {
 			t.Fatalf("trial %d: BBRS=%v plain=%v", trial, got, plain)
@@ -297,7 +294,7 @@ func TestReverseSkylineBBRSMatchesMono(t *testing.T) {
 func TestReverseSkylinePaperExampleAllVariants(t *testing.T) {
 	db := fig1DB()
 	want := []int{2, 3, 4, 6, 8}
-	if got := ids(db.ReverseSkylineMono(paperQ)); !equalInts(got, want) {
+	if got := ids(must(db.ReverseSkylineCtx(context.Background(), fig1(), paperQ))); !equalInts(got, want) {
 		t.Fatalf("mono RSL = %v", got)
 	}
 	if got := ids(must(db.ReverseSkylineBBRSCtx(context.Background(), paperQ))); !equalInts(got, want) {
@@ -305,33 +302,8 @@ func TestReverseSkylinePaperExampleAllVariants(t *testing.T) {
 	}
 }
 
-func TestItemsCacheInvalidation(t *testing.T) {
-	db := fig1DB()
-	a := db.Items()
-	if len(a) != 8 {
-		t.Fatalf("Items = %d", len(a))
-	}
-	if &a[0] != &db.Items()[0] {
-		t.Fatal("Items should be memoised between mutations")
-	}
-	db.Insert(Item{ID: 99, Point: geom.NewPoint(1, 1)})
-	if len(db.Items()) != 9 {
-		t.Fatal("cache not refreshed after Insert")
-	}
-	db.Delete(Item{ID: 99, Point: geom.NewPoint(1, 1)})
-	if len(db.Items()) != 8 {
-		t.Fatal("cache not refreshed after Delete")
-	}
-	// A failed delete must not invalidate.
-	b := db.Items()
-	db.Delete(Item{ID: 1234, Point: geom.NewPoint(0, 0)})
-	if &b[0] != &db.Items()[0] {
-		t.Fatal("failed delete should keep the cache")
-	}
-}
-
-// Concurrent read-only use of the DB must be race-free (Items memoisation,
-// access counting, window queries). Run with -race to enforce.
+// Concurrent read-only use of the DB must be race-free (access counting,
+// window queries, the BBRS traversal). Run with -race to enforce.
 func TestConcurrentReadsRaceFree(t *testing.T) {
 	products := randItems(2000, 2, 71)
 	db := NewDB(2, products, rtree.Config{})
@@ -346,7 +318,7 @@ func TestConcurrentReadsRaceFree(t *testing.T) {
 				must(db.WindowExistsChecked(nil, c.Point, q, c.ID))
 				db.DynamicSkylineExcluding(c.Point, c.ID)
 				if i%10 == 0 {
-					db.ReverseSkylineMono(q)
+					must(db.ReverseSkylineBBRSCtx(context.Background(), q))
 				}
 			}
 		}(int64(w))

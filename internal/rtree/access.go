@@ -2,8 +2,9 @@ package rtree
 
 // Node-access accounting: in a disk-resident R-tree every visited node is a
 // page read, so "nodes accessed" is the standard I/O cost metric of the
-// skyline literature (BBS is I/O-optimal in it). The counter covers Search,
-// Exists, BestFirst and the operations built on them. It is atomic, so
+// skyline literature (BBS is I/O-optimal in it). The counter covers every
+// traversal (SearchChecked, ExistsChecked, BestFirstChecked,
+// GuidedSearchChecked) and the operations built on them. It is atomic, so
 // concurrent read-only queries stay race-free; per-query attribution is
 // meaningful only for single-threaded measurements.
 
@@ -13,26 +14,32 @@ package rtree
 const maxTrackedLevels = 16
 
 // recordAccess counts one node visit at the given level (0 = leaf). All
-// traversal engines funnel through it so the aggregate, leaf and per-level
-// counters cannot drift apart.
+// traversal engines funnel through it. The per-level slots are the only
+// access counters — the total and the leaf count are read off them — so a
+// visit costs one atomic add on state shared by every concurrent query, and
+// the three views cannot drift apart.
 func (t *Tree) recordAccess(level int) {
-	t.accesses.Add(1)
-	if level == 0 {
-		t.leafScans.Add(1)
-	}
 	if level >= maxTrackedLevels {
 		level = maxTrackedLevels - 1
 	}
 	t.levelAccesses[level].Add(1)
 }
 
-// Accesses returns the number of nodes visited since the last reset.
-func (t *Tree) Accesses() int { return int(t.accesses.Load()) }
+// Accesses returns the number of nodes visited since the last reset: the sum
+// over every tracked level, including levels above the current height that
+// a since-shrunk tree once had.
+func (t *Tree) Accesses() int {
+	var n int64
+	for i := range t.levelAccesses {
+		n += t.levelAccesses[i].Load()
+	}
+	return int(n)
+}
 
 // LeafScans returns how many of the visited nodes were leaves — the fraction
 // of the I/O that read data pages rather than directory pages. A traversal
 // with a high leaf share is doing little pruning.
-func (t *Tree) LeafScans() int { return int(t.leafScans.Load()) }
+func (t *Tree) LeafScans() int { return int(t.levelAccesses[0].Load()) }
 
 // LevelAccesses returns the node-access counts split by tree level, index 0 =
 // leaves, trimmed to the tree's height. The profile distinguishes a traversal
@@ -58,11 +65,8 @@ func (t *Tree) LevelAccesses() []int64 {
 // the branch-and-bound avoided.
 func (t *Tree) Pruned() int { return int(t.pruned.Load()) }
 
-// ResetAccesses zeroes the node-access, leaf-scan, per-level and prune
-// counters.
+// ResetAccesses zeroes the node-access and prune counters.
 func (t *Tree) ResetAccesses() {
-	t.accesses.Store(0)
-	t.leafScans.Store(0)
 	for i := range t.levelAccesses {
 		t.levelAccesses[i].Store(0)
 	}

@@ -2,23 +2,16 @@ package rtree
 
 import (
 	"container/heap"
-	"math"
 	"sort"
 
 	"repro/internal/cancel"
 	"repro/internal/geom"
 )
 
-// Search invokes fn for every item whose point lies in the closed query
-// rectangle. Traversal stops early if fn returns false.
-func (t *Tree) Search(query geom.Rect, fn func(Item) bool) {
-	t.search(t.root, query, fn, nil)
-}
-
-// SearchChecked is Search with cooperative cancellation: the checker is
-// consulted once per visited node and the traversal aborts as soon as it
-// reports cancellation, which is then returned. A nil checker degrades to
-// plain Search.
+// SearchChecked invokes fn for every item whose point lies in the closed
+// query rectangle; traversal stops early if fn returns false. The checker
+// (nil for none) is consulted once per visited node and the traversal aborts
+// as soon as it reports cancellation, which is then returned.
 func (t *Tree) SearchChecked(chk *cancel.Checker, query geom.Rect, fn func(Item) bool) error {
 	if err := chk.Err(); err != nil {
 		return err
@@ -47,28 +40,11 @@ func (t *Tree) search(n *node, query geom.Rect, fn func(Item) bool, chk *cancel.
 	return true
 }
 
-// RangeQuery collects all items inside the closed query rectangle.
-func (t *Tree) RangeQuery(query geom.Rect) []Item {
-	var out []Item
-	t.Search(query, func(it Item) bool {
-		out = append(out, it)
-		return true
-	})
-	return out
-}
-
-// Exists reports whether any item inside the closed query rectangle satisfies
-// pred, short-circuiting the traversal at the first hit. A nil pred matches
-// every item. This is the existence-only window query used to verify reverse
-// skyline membership.
-func (t *Tree) Exists(query geom.Rect, pred func(Item) bool) bool {
-	found, _ := t.ExistsChecked(nil, query, pred)
-	return found
-}
-
-// ExistsChecked is Exists with cooperative cancellation. When the traversal
-// is cancelled before a witness is found, found is false and the context's
-// error is returned.
+// ExistsChecked reports whether any item inside the closed query rectangle
+// satisfies pred, short-circuiting the traversal at the first hit. A nil pred
+// matches every item. This is the existence-only window query used to verify
+// reverse-skyline membership. When the traversal is cancelled before a
+// witness is found, found is false and the context's error is returned.
 func (t *Tree) ExistsChecked(chk *cancel.Checker, query geom.Rect, pred func(Item) bool) (bool, error) {
 	found := false
 	err := t.SearchChecked(chk, query, func(it Item) bool {
@@ -79,13 +55,6 @@ func (t *Tree) ExistsChecked(chk *cancel.Checker, query geom.Rect, pred func(Ite
 		return true
 	})
 	return found, err
-}
-
-// Count returns the number of items inside the closed query rectangle.
-func (t *Tree) Count(query geom.Rect) int {
-	n := 0
-	t.Search(query, func(Item) bool { n++; return true })
-	return n
 }
 
 // All invokes fn for every stored item.
@@ -133,23 +102,14 @@ func (h *pq) Pop() interface{} {
 	return x
 }
 
-// BestFirst yields items in non-decreasing order of key, where itemKey scores
-// a point and rectKey must lower-bound itemKey over every point inside the
-// rectangle. prune, when non-nil, is consulted before expanding a node or
-// emitting an item; returning true skips the subtree/item (the BBS dominance
-// pruning hook). Iteration stops when fn returns false.
-func (t *Tree) BestFirst(
-	itemKey func(geom.Point) float64,
-	rectKey func(geom.Rect) float64,
-	prune func(rect geom.Rect) bool,
-	fn func(Item, float64) bool,
-) {
-	t.bestFirst(nil, itemKey, rectKey, prune, fn)
-}
-
-// BestFirstChecked is BestFirst with cooperative cancellation: the checker is
-// consulted once per heap pop (node or item expansion) and the traversal
-// aborts, returning the context's error, as soon as it fires.
+// BestFirstChecked yields items in non-decreasing order of key, where
+// itemKey scores a point and rectKey must lower-bound itemKey over every
+// point inside the rectangle. prune, when non-nil, is consulted before
+// expanding a node or emitting an item; returning true skips the
+// subtree/item (the BBS dominance pruning hook). Iteration stops when fn
+// returns false. The checker (nil for none) is consulted once per heap pop
+// (node or item expansion) and the traversal aborts, returning the context's
+// error, as soon as it fires.
 func (t *Tree) BestFirstChecked(
 	chk *cancel.Checker,
 	itemKey func(geom.Point) float64,
@@ -160,26 +120,15 @@ func (t *Tree) BestFirstChecked(
 	if err := chk.Err(); err != nil {
 		return err
 	}
-	t.bestFirst(chk, itemKey, rectKey, prune, fn)
-	return chk.Err()
-}
-
-func (t *Tree) bestFirst(
-	chk *cancel.Checker,
-	itemKey func(geom.Point) float64,
-	rectKey func(geom.Rect) float64,
-	prune func(rect geom.Rect) bool,
-	fn func(Item, float64) bool,
-) {
 	if t.size == 0 {
-		return
+		return nil
 	}
 	h := &pq{}
 	root := t.root.mbr()
 	heap.Push(h, pqEntry{key: rectKey(root), rect: root, node: t.root})
 	for h.Len() > 0 {
-		if chk.Point(cancel.SiteRTreeNode) != nil {
-			return
+		if err := chk.Point(cancel.SiteRTreeNode); err != nil {
+			return err
 		}
 		e := heap.Pop(h).(pqEntry)
 		if e.node != nil {
@@ -191,7 +140,7 @@ func (t *Tree) bestFirst(
 		}
 		if e.leaf {
 			if !fn(e.item, e.key) {
-				return
+				return chk.Err()
 			}
 			continue
 		}
@@ -211,16 +160,17 @@ func (t *Tree) bestFirst(
 			t.pruned.Add(prunedHere)
 		}
 	}
+	return chk.Err()
 }
 
 // GuidedSearchChecked is a depth-first traversal restricted to subtrees
 // intersecting query, visiting children in ascending order(rect) and
 // consulting prune before each descent (prune sees the child MBR; returning
-// true skips it). Unlike BestFirst it keeps no global heap — the ordering is
-// only per-node — which makes it the cheap engine for window-local
-// branch-and-bound where any collected witness prunes soundly regardless of
-// global visit order. Traversal stops when fn returns false. The checker
-// (nil for none) fires at node-visit granularity.
+// true skips it). Unlike BestFirstChecked it keeps no global heap — the
+// ordering is only per-node — which makes it the cheap engine for
+// window-local branch-and-bound where any collected witness prunes soundly
+// regardless of global visit order. Traversal stops when fn returns false.
+// The checker (nil for none) fires at node-visit granularity.
 func (t *Tree) GuidedSearchChecked(
 	chk *cancel.Checker,
 	query geom.Rect,
@@ -290,43 +240,4 @@ func (t *Tree) guidedSearch(
 		t.pruned.Add(prunedHere)
 	}
 	return true
-}
-
-// NearestNeighbors returns the k items nearest to p by Euclidean distance,
-// nearest first. Fewer than k items are returned when the tree is smaller.
-func (t *Tree) NearestNeighbors(k int, p geom.Point) []Item {
-	out := make([]Item, 0, k)
-	t.BestFirst(
-		func(x geom.Point) float64 { return p.L2(x) },
-		func(r geom.Rect) float64 { return r.MinDistL2(p) },
-		nil,
-		func(it Item, _ float64) bool {
-			out = append(out, it)
-			return len(out) < k
-		},
-	)
-	return out
-}
-
-// NearestNeighbor returns the single nearest item; ok is false when empty.
-func (t *Tree) NearestNeighbor(p geom.Point) (Item, bool) {
-	nn := t.NearestNeighbors(1, p)
-	if len(nn) == 0 {
-		return Item{}, false
-	}
-	return nn[0], true
-}
-
-// MinKeyItem returns the stored item minimising itemKey, using rectKey as the
-// lower bound for pruning; ok is false when the tree is empty.
-func (t *Tree) MinKeyItem(itemKey func(geom.Point) float64, rectKey func(geom.Rect) float64) (Item, bool) {
-	var best Item
-	bestKey := math.Inf(1)
-	found := false
-	t.BestFirst(itemKey, rectKey, nil, func(it Item, key float64) bool {
-		best, bestKey, found = it, key, true
-		_ = bestKey
-		return false
-	})
-	return best, found
 }

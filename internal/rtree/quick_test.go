@@ -88,7 +88,7 @@ func TestQuickRangeAgainstBrute(t *testing.T) {
 					want[it.ID] = true
 				}
 			}
-			got := tr.RangeQuery(q)
+			got := rangeQuery(tr, q)
 			if len(got) != len(want) {
 				return false
 			}
@@ -117,7 +117,7 @@ func TestQuickBestFirstMonotone(t *testing.T) {
 		prev := -1.0
 		count := 0
 		ok := true
-		tr.BestFirst(
+		tr.BestFirstChecked(nil,
 			func(p geom.Point) float64 { return origin.L1(p) },
 			func(r geom.Rect) float64 { return r.MinDistL1(origin) },
 			nil,

@@ -110,14 +110,12 @@ func (n *node) mbr() geom.Rect {
 // Tree is an R*-tree over point items. It is not safe for concurrent
 // mutation; concurrent read-only queries are safe.
 type Tree struct {
-	cfg       Config
-	root      *node
-	size      int
-	height    int
-	accesses  atomic.Int64
-	leafScans atomic.Int64
-	// levelAccesses splits the access count by node level (index 0 = leaves);
-	// levels beyond the tracked window fold into the top slot. pruned counts
+	cfg    Config
+	root   *node
+	size   int
+	height int
+	// levelAccesses counts node visits by level (index 0 = leaves); levels
+	// beyond the tracked window fold into the top slot. pruned counts
 	// subtree/entry prunes taken by a traversal's prune hook — page reads the
 	// branch-and-bound avoided.
 	levelAccesses [maxTrackedLevels]atomic.Int64

@@ -42,6 +42,21 @@ func idsOf(items []Item) []int {
 	return ids
 }
 
+// rangeQuery collects every item inside the closed query rectangle.
+func rangeQuery(tr *Tree, q geom.Rect) []Item {
+	var out []Item
+	tr.SearchChecked(nil, q, func(it Item) bool {
+		out = append(out, it)
+		return true
+	})
+	return out
+}
+
+func exists(tr *Tree, q geom.Rect, pred func(Item) bool) bool {
+	found, _ := tr.ExistsChecked(nil, q, pred)
+	return found
+}
+
 func equalIDs(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -82,7 +97,7 @@ func TestInsertAndRangeQuery(t *testing.T) {
 		a := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		b := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		q := geom.NewRect(a, b)
-		got := idsOf(tr.RangeQuery(q))
+		got := idsOf(rangeQuery(tr, q))
 		want := bruteRange(items, q)
 		if !equalIDs(got, want) {
 			t.Fatalf("range query %v: got %d ids, want %d", q, len(got), len(want))
@@ -108,12 +123,12 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Bounds(); ok {
 		t.Error("empty tree has no bounds")
 	}
-	if got := tr.RangeQuery(geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(1, 1))); len(got) != 0 {
+	if got := rangeQuery(tr, geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(1, 1))); len(got) != 0 {
 		t.Error("range query on empty tree should be empty")
 	}
-	if _, ok := tr.NearestNeighbor(geom.NewPoint(0, 0)); ok {
-		t.Error("NN on empty tree")
-	}
+	origin := geom.NewPoint(0, 0)
+	tr.BestFirstChecked(nil, origin.L1, func(r geom.Rect) float64 { return r.MinDistL1(origin) }, nil,
+		func(Item, float64) bool { t.Error("best-first on empty tree yielded an item"); return false })
 	tr.All(func(Item) bool { t.Error("All on empty tree yielded an item"); return false })
 }
 
@@ -134,7 +149,7 @@ func TestBulkLoadMatchesBrute(t *testing.T) {
 			a := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 			b := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 			q := geom.NewRect(a, b)
-			if !equalIDs(idsOf(tr.RangeQuery(q)), bruteRange(items, q)) {
+			if !equalIDs(idsOf(rangeQuery(tr, q)), bruteRange(items, q)) {
 				t.Fatalf("n=%d: bulk-loaded range query mismatch", n)
 			}
 		}
@@ -149,7 +164,7 @@ func TestBulkLoad3D(t *testing.T) {
 		a := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000)
 		b := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000, rng.Float64()*1000)
 		q := geom.NewRect(a, b)
-		if !equalIDs(idsOf(tr.RangeQuery(q)), bruteRange(items, q)) {
+		if !equalIDs(idsOf(rangeQuery(tr, q)), bruteRange(items, q)) {
 			t.Fatal("3-d bulk-loaded range query mismatch")
 		}
 	}
@@ -186,7 +201,7 @@ func TestDelete(t *testing.T) {
 		a := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		b := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
 		q := geom.NewRect(a, b)
-		if !equalIDs(idsOf(tr.RangeQuery(q)), bruteRange(remaining, q)) {
+		if !equalIDs(idsOf(rangeQuery(tr, q)), bruteRange(remaining, q)) {
 			t.Fatal("range query mismatch after deletes")
 		}
 	}
@@ -219,52 +234,21 @@ func TestExistsShortCircuits(t *testing.T) {
 	items := randItems(1000, 2, 6)
 	tr := BulkLoad(2, items, Config{})
 	all := geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(1000, 1000))
-	if !tr.Exists(all, nil) {
+	if !exists(tr, all, nil) {
 		t.Fatal("Exists over full range must be true")
 	}
 	visited := 0
-	tr.Exists(all, func(Item) bool { visited++; return true })
+	exists(tr, all, func(Item) bool { visited++; return true })
 	if visited != 1 {
 		t.Errorf("Exists visited %d items, want 1 (short circuit)", visited)
 	}
 	empty := geom.NewRect(geom.NewPoint(-10, -10), geom.NewPoint(-5, -5))
-	if tr.Exists(empty, nil) {
+	if exists(tr, empty, nil) {
 		t.Fatal("Exists over empty range must be false")
 	}
 	// Predicate filter: only even IDs in a thin stripe.
-	if got := tr.Exists(all, func(it Item) bool { return false }); got {
+	if got := exists(tr, all, func(it Item) bool { return false }); got {
 		t.Fatal("unsatisfiable predicate must yield false")
-	}
-}
-
-func TestCount(t *testing.T) {
-	items := randItems(500, 2, 12)
-	tr := BulkLoad(2, items, Config{})
-	q := geom.NewRect(geom.NewPoint(100, 100), geom.NewPoint(600, 600))
-	if got, want := tr.Count(q), len(bruteRange(items, q)); got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
-	}
-}
-
-func TestNearestNeighbors(t *testing.T) {
-	items := randItems(2000, 2, 8)
-	tr := BulkLoad(2, items, Config{})
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
-		p := geom.NewPoint(rng.Float64()*1000, rng.Float64()*1000)
-		k := 1 + rng.Intn(10)
-		got := tr.NearestNeighbors(k, p)
-		if len(got) != k {
-			t.Fatalf("kNN returned %d items, want %d", len(got), k)
-		}
-		// Oracle: sort all by distance.
-		byDist := append([]Item(nil), items...)
-		sort.Slice(byDist, func(i, j int) bool { return p.L2(byDist[i].Point) < p.L2(byDist[j].Point) })
-		for i := range got {
-			if p.L2(got[i].Point) != p.L2(byDist[i].Point) {
-				t.Fatalf("kNN order mismatch at %d: %v vs %v", i, got[i].Point, byDist[i].Point)
-			}
-		}
 	}
 }
 
@@ -274,7 +258,7 @@ func TestBestFirstOrdering(t *testing.T) {
 	origin := geom.NewPoint(0, 0)
 	prev := -1.0
 	n := 0
-	tr.BestFirst(
+	tr.BestFirstChecked(nil,
 		func(p geom.Point) float64 { return origin.L1(p) },
 		func(r geom.Rect) float64 { return r.MinDistL1(origin) },
 		nil,
@@ -298,7 +282,7 @@ func TestBestFirstPrune(t *testing.T) {
 	origin := geom.NewPoint(0, 0)
 	// Prune everything with min L1 distance > 500: only close items emitted.
 	var got []Item
-	tr.BestFirst(
+	tr.BestFirstChecked(nil,
 		func(p geom.Point) float64 { return origin.L1(p) },
 		func(r geom.Rect) float64 { return r.MinDistL1(origin) },
 		func(r geom.Rect) bool { return r.MinDistL1(origin) > 500 },
@@ -320,28 +304,6 @@ func TestBestFirstPrune(t *testing.T) {
 	}
 }
 
-func TestMinKeyItem(t *testing.T) {
-	items := randItems(500, 2, 15)
-	tr := BulkLoad(2, items, Config{})
-	target := geom.NewPoint(500, 500)
-	it, ok := tr.MinKeyItem(
-		func(p geom.Point) float64 { return target.L1(p) },
-		func(r geom.Rect) float64 { return r.MinDistL1(target) },
-	)
-	if !ok {
-		t.Fatal("MinKeyItem on non-empty tree")
-	}
-	best := items[0]
-	for _, cand := range items {
-		if target.L1(cand.Point) < target.L1(best.Point) {
-			best = cand
-		}
-	}
-	if target.L1(it.Point) != target.L1(best.Point) {
-		t.Fatalf("MinKeyItem = %v, want %v", it.Point, best.Point)
-	}
-}
-
 func TestDuplicatePoints(t *testing.T) {
 	tr := New(2, Config{})
 	p := geom.NewPoint(5, 5)
@@ -351,7 +313,7 @@ func TestDuplicatePoints(t *testing.T) {
 	if err := tr.checkInvariants(); err != nil {
 		t.Fatalf("invariants with duplicates: %v", err)
 	}
-	got := tr.RangeQuery(geom.PointRect(p))
+	got := rangeQuery(tr, geom.PointRect(p))
 	if len(got) != 100 {
 		t.Fatalf("duplicate query returned %d, want 100", len(got))
 	}
@@ -417,7 +379,7 @@ func TestCustomFanout(t *testing.T) {
 		t.Errorf("300 items at fanout 4 should build a deep tree, height = %d", tr.Height())
 	}
 	q := geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(1000, 1000))
-	if got := len(tr.RangeQuery(q)); got != 300 {
+	if got := len(rangeQuery(tr, q)); got != 300 {
 		t.Fatalf("full range = %d, want 300", got)
 	}
 }
@@ -468,10 +430,10 @@ func TestAccessCounting(t *testing.T) {
 	}
 	// A tiny range query touches far fewer nodes than a full scan.
 	tr.ResetAccesses()
-	tr.RangeQuery(geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(10, 10)))
+	rangeQuery(tr, geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(10, 10)))
 	small := tr.Accesses()
 	tr.ResetAccesses()
-	tr.RangeQuery(geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(1000, 1000)))
+	rangeQuery(tr, geom.NewRect(geom.NewPoint(0, 0), geom.NewPoint(1000, 1000)))
 	full := tr.Accesses()
 	if small <= 0 || full <= small {
 		t.Fatalf("access counts implausible: small=%d full=%d", small, full)
@@ -481,7 +443,9 @@ func TestAccessCounting(t *testing.T) {
 	}
 	// Best-first with early exit touches a fraction of the tree.
 	tr.ResetAccesses()
-	tr.NearestNeighbor(geom.NewPoint(500, 500))
+	centre := geom.NewPoint(500, 500)
+	tr.BestFirstChecked(nil, centre.L1, func(r geom.Rect) float64 { return r.MinDistL1(centre) }, nil,
+		func(Item, float64) bool { return false })
 	if nn := tr.Accesses(); nn <= 0 || nn >= full {
 		t.Fatalf("NN accesses = %d, want between 1 and %d", nn, full)
 	}
@@ -597,7 +561,7 @@ func TestBulkLoadThenInsertNoAliasing(t *testing.T) {
 					t.Fatalf("dims=%d n=%d: item %d stored %d times after bulk+insert",
 						dims, n, it.ID, seen[it.ID])
 				}
-				got := tr.RangeQuery(geom.PointRect(it.Point))
+				got := rangeQuery(tr, geom.PointRect(it.Point))
 				found := false
 				for _, g := range got {
 					found = found || g.ID == it.ID

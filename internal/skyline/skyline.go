@@ -1,10 +1,11 @@
 // Package skyline implements the skyline machinery the paper builds on:
-// static skylines (Definition 1) via block-nested-loops, sort-filter-skyline
-// and divide & conquer; the branch-and-bound skyline (BBS) of Papadias et al.
-// over an R*-tree; dynamic skylines (Definition 2) computed in the space
+// the static skyline (Definition 1) by block-nested-loops, kept as the
+// reference for the definition; dynamic skylines (Definition 2) by
+// branch-and-bound over an R*-tree (BBS of Papadias et al.) in the space
 // transformed around a centre point; the orthant-aware global skyline used to
-// prune reverse-skyline candidates; and the k-sampled approximate dynamic
-// skyline of §VI.B.1.
+// prune reverse-skyline candidates, by the BBRS traversal (bbrs.go) with an
+// orthant-partitioned scan as its reference; and the k-sampled approximate
+// dynamic skyline of §VI.B.1.
 //
 // Dominance is strict throughout (≤ in every dimension, < in at least one),
 // so duplicate points never dominate each other and are all retained.
@@ -22,12 +23,9 @@ import (
 // Item aliases the R-tree item type: an identified point.
 type Item = rtree.Item
 
-// Of computes the static skyline of items with the default algorithm (SFS).
-func Of(items []Item) []Item { return SFS(items) }
-
 // BNL computes the static skyline with the block-nested-loops algorithm of
-// Börzsönyi et al. (ICDE 2001). O(n²) worst case; the baseline oracle in
-// tests and benchmarks.
+// Börzsönyi et al. (ICDE 2001). O(n²) worst case; the reference for
+// Definition 1 in tests and benchmarks.
 func BNL(items []Item) []Item {
 	var window []Item
 	dt := 0     // batched dominance-test count, one flush per call
@@ -65,37 +63,6 @@ func BNL(items []Item) []Item {
 	return window
 }
 
-// SFS computes the static skyline with sort-filter-skyline: items are sorted
-// by a monotone score (coordinate sum) so that no item can dominate an
-// earlier one, then filtered against the accumulating skyline.
-func SFS(items []Item) []Item {
-	sorted := append([]Item(nil), items...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return coordSum(sorted[i].Point) < coordSum(sorted[j].Point)
-	})
-	var sky []Item
-	dt := 0
-	pruned := 0
-	for _, cand := range sorted {
-		dominated := false
-		for _, s := range sky {
-			dt++
-			if s.Point.Dominates(cand.Point) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			sky = append(sky, cand)
-		} else {
-			pruned++
-		}
-	}
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(pruned)
-	return sky
-}
-
 func coordSum(p geom.Point) float64 {
 	var s float64
 	for _, v := range p {
@@ -113,134 +80,6 @@ func zeroPoint(p geom.Point) bool {
 		}
 	}
 	return true
-}
-
-// DC computes the static skyline by divide & conquer: partition by the median
-// of dimension 0, recurse, then filter the high half against the low half.
-func DC(items []Item) []Item {
-	if len(items) <= 16 {
-		return BNL(items)
-	}
-	vals := make([]float64, len(items))
-	for i, it := range items {
-		vals[i] = it.Point[0]
-	}
-	sort.Float64s(vals)
-	median := vals[len(vals)/2]
-	var lo, hi []Item
-	for _, it := range items {
-		if it.Point[0] <= median {
-			lo = append(lo, it)
-		} else {
-			hi = append(hi, it)
-		}
-	}
-	if len(lo) == 0 || len(hi) == 0 {
-		// Degenerate split (many ties on dim 0): fall back.
-		return BNL(items)
-	}
-	skyLo := DC(lo)
-	skyHi := DC(hi)
-	out := append([]Item(nil), skyLo...)
-	dt := 0
-	pruned := 0
-	for _, h := range skyHi {
-		dominated := false
-		for _, l := range skyLo {
-			dt++
-			if l.Point.Dominates(h.Point) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, h)
-		} else {
-			pruned++
-		}
-	}
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(pruned)
-	return out
-}
-
-// BBS computes the static skyline with the branch-and-bound skyline algorithm
-// over an R*-tree: best-first traversal by coordinate-sum mindist with
-// dominance pruning. It accesses only the nodes that can contain skyline
-// points.
-func BBS(t *rtree.Tree) []Item {
-	var sky []Item
-	dt := 0 // point-point only; the rect prune below is not a dominance test
-	pruned := 0
-	dominatedRect := func(r geom.Rect) bool {
-		for _, s := range sky {
-			if s.Point.WeaklyDominates(r.Lo) && !r.Contains(s.Point) {
-				return true
-			}
-		}
-		return false
-	}
-	t.BestFirst(
-		coordSum,
-		func(r geom.Rect) float64 { return coordSum(r.Lo) },
-		dominatedRect,
-		func(it Item, _ float64) bool {
-			for _, s := range sky {
-				dt++
-				if s.Point.Dominates(it.Point) {
-					pruned++
-					return true
-				}
-			}
-			sky = append(sky, it)
-			return true
-		},
-	)
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(pruned)
-	return sky
-}
-
-// Dynamic computes the dynamic skyline of items with respect to centre c
-// (Definition 2) by transforming every point with f_i(p) = |c_i − p_i| and
-// running SFS in the transformed space. Returned items keep their original
-// coordinates. An item whose point equals c exactly maps to the origin of
-// the transformed space and dominates everything else.
-func Dynamic(items []Item, c geom.Point) []Item {
-	type ti struct {
-		orig Item
-		tr   geom.Point
-	}
-	ts := make([]ti, len(items))
-	for i, it := range items {
-		ts[i] = ti{orig: it, tr: it.Point.Transform(c)}
-	}
-	sort.SliceStable(ts, func(i, j int) bool { return coordSum(ts[i].tr) < coordSum(ts[j].tr) })
-	var sky []ti
-	dt := 0
-	pruned := 0
-	for _, cand := range ts {
-		dominated := false
-		for _, s := range sky {
-			dt++
-			if s.tr.Dominates(cand.tr) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			sky = append(sky, cand)
-		} else {
-			pruned++
-		}
-	}
-	obs.AddDominanceTests(dt)
-	obs.AddPruned(pruned)
-	out := make([]Item, len(sky))
-	for i, s := range sky {
-		out[i] = s.orig
-	}
-	return out
 }
 
 // noExclude is an ID no real item carries, making the exclusion filter inert.
@@ -344,7 +183,9 @@ func GlobalDominates(q, a, b geom.Point) bool {
 }
 
 // GlobalSkyline returns the items not globally dominated by any other item
-// with respect to q. It is a superset of RSL(q) candidates.
+// with respect to q. It is a superset of RSL(q) candidates. The query paths
+// take this set from the index (GlobalSkylineBBSChecked); this scan over an
+// item slice is the reference that traversal is tested against.
 //
 // The computation partitions the data by orthant around q: dominators of a
 // point must lie in the same closed orthant, with points on an orthant

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/oracle"
 	"repro/internal/rtree"
 )
 
@@ -62,15 +63,15 @@ func keys(m map[int]bool) []int {
 // Paper Fig. 1(b): SK = {p1, p3, p5}.
 func TestStaticSkylinePaperExample(t *testing.T) {
 	items := fig1Points()
-	for name, alg := range map[string]func([]Item) []Item{
-		"BNL": BNL, "SFS": SFS, "DC": DC, "Of": Of,
-	} {
-		t.Run(name, func(t *testing.T) {
-			sameIDs(t, alg(items), 1, 3, 5)
-		})
-	}
-	tr := rtree.BulkLoad(2, items, rtree.Config{})
-	sameIDs(t, BBS(tr), 1, 3, 5)
+	t.Run("BNL", func(t *testing.T) {
+		sameIDs(t, BNL(items), 1, 3, 5)
+	})
+}
+
+// dynamicBBS runs the index-backed DSL over a freshly bulk-loaded tree.
+func dynamicBBS(items []Item, c geom.Point) []Item {
+	out, _ := DynamicBBSChecked(nil, rtree.BulkLoad(len(c), items, rtree.Config{}), c)
+	return out
 }
 
 // Paper Fig. 2(a): DSL(q) = {p2, p6} for q=(8.5,55) over pt1..pt8 minus pt2?
@@ -79,10 +80,8 @@ func TestStaticSkylinePaperExample(t *testing.T) {
 func TestDynamicSkylinePaperExampleQ(t *testing.T) {
 	items := fig1Points()
 	q := geom.NewPoint(8.5, 55)
-	sameIDs(t, Dynamic(items, q), 2, 6)
-	tr := rtree.BulkLoad(2, items, rtree.Config{})
-	bbs, _ := DynamicBBSChecked(nil, tr, q)
-	sameIDs(t, bbs, 2, 6)
+	sameIDs(t, oracle.DynamicSkyline(items, q, oracle.NoExclude), 2, 6)
+	sameIDs(t, dynamicBBS(items, q), 2, 6)
 }
 
 // Paper §I: the dynamic skyline of c2 = pt2 over {pt1, pt3..pt8} is
@@ -95,10 +94,10 @@ func TestDynamicSkylinePaperExampleC2(t *testing.T) {
 		}
 	}
 	c2 := geom.NewPoint(7.5, 42)
-	sameIDs(t, Dynamic(items, c2), 1, 4, 6)
+	sameIDs(t, dynamicBBS(items, c2), 1, 4, 6)
 	// Adding q to the products puts q into DSL(c2) as well (paper: {p1,p4,p6,q}).
 	q := Item{ID: 99, Point: geom.NewPoint(8.5, 55)}
-	sameIDs(t, Dynamic(append(items, q), c2), 1, 4, 6, 99)
+	sameIDs(t, dynamicBBS(append(items, q), c2), 1, 4, 6, 99)
 }
 
 func randItems(n, dims int, seed int64) []Item {
@@ -137,41 +136,17 @@ func TestAllAlgorithmsAgreeRandom(t *testing.T) {
 		for seed := int64(0); seed < 5; seed++ {
 			items := randItems(400, dims, seed)
 			want := idSet(bruteSkyline(items))
-			tr := rtree.BulkLoad(dims, items, rtree.Config{})
-			for name, got := range map[string]map[int]bool{
-				"BNL": idSet(BNL(items)),
-				"SFS": idSet(SFS(items)),
-				"DC":  idSet(DC(items)),
-				"BBS": idSet(BBS(tr)),
-			} {
-				if len(got) != len(want) {
-					t.Fatalf("dims=%d seed=%d %s: %d points, want %d", dims, seed, name, len(got), len(want))
-				}
-				for id := range want {
-					if !got[id] {
-						t.Fatalf("dims=%d seed=%d %s missing id %d", dims, seed, name, id)
-					}
+			got := idSet(BNL(items))
+			if len(got) != len(want) {
+				t.Fatalf("dims=%d seed=%d BNL: %d points, want %d", dims, seed, len(got), len(want))
+			}
+			for id := range want {
+				if !got[id] {
+					t.Fatalf("dims=%d seed=%d BNL missing id %d", dims, seed, id)
 				}
 			}
 		}
 	}
-}
-
-func bruteDynamicSkyline(items []Item, c geom.Point) []Item {
-	var out []Item
-	for i, a := range items {
-		dominated := false
-		for j, b := range items {
-			if i != j && geom.DynDominates(c, b.Point, a.Point) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 func TestDynamicAgreesWithBruteRandom(t *testing.T) {
@@ -183,16 +158,13 @@ func TestDynamicAgreesWithBruteRandom(t *testing.T) {
 		for d := range c {
 			c[d] = rng.Float64() * 100
 		}
-		want := idSet(bruteDynamicSkyline(items, c))
-		got := idSet(Dynamic(items, c))
-		tr := rtree.BulkLoad(dims, items, rtree.Config{})
-		bbs, _ := DynamicBBSChecked(nil, tr, c)
-		gotBBS := idSet(bbs)
-		if len(got) != len(want) || len(gotBBS) != len(want) {
-			t.Fatalf("trial %d: Dynamic=%d DynamicBBSChecked=%d want=%d", trial, len(got), len(gotBBS), len(want))
+		want := idSet(oracle.DynamicSkyline(items, c, oracle.NoExclude))
+		got := idSet(dynamicBBS(items, c))
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: DynamicBBSChecked=%d want=%d", trial, len(got), len(want))
 		}
 		for id := range want {
-			if !got[id] || !gotBBS[id] {
+			if !got[id] {
 				t.Fatalf("trial %d: missing id %d", trial, id)
 			}
 		}
@@ -205,25 +177,7 @@ func TestSkylineWithDuplicates(t *testing.T) {
 		{ID: 2, Point: geom.NewPoint(1, 1)}, // duplicate of 1
 		{ID: 3, Point: geom.NewPoint(2, 2)},
 	}
-	for name, alg := range map[string]func([]Item) []Item{"BNL": BNL, "SFS": SFS, "DC": DC} {
-		got := alg(items)
-		sameIDsNamed(t, name, got, 1, 2)
-	}
-	tr := rtree.BulkLoad(2, items, rtree.Config{})
-	sameIDsNamed(t, "BBS", BBS(tr), 1, 2)
-}
-
-func sameIDsNamed(t *testing.T, name string, got []Item, want ...int) {
-	t.Helper()
-	g := idSet(got)
-	if len(g) != len(want) {
-		t.Fatalf("%s: got %v, want %v", name, keys(g), want)
-	}
-	for _, id := range want {
-		if !g[id] {
-			t.Fatalf("%s: missing %d", name, id)
-		}
-	}
+	sameIDs(t, BNL(items), 1, 2)
 }
 
 func TestSkylineEmptyAndSingle(t *testing.T) {
@@ -231,10 +185,8 @@ func TestSkylineEmptyAndSingle(t *testing.T) {
 		t.Error("BNL(nil) should be empty")
 	}
 	one := []Item{{ID: 7, Point: geom.NewPoint(3, 3)}}
-	for name, alg := range map[string]func([]Item) []Item{"BNL": BNL, "SFS": SFS, "DC": DC} {
-		if got := alg(one); len(got) != 1 || got[0].ID != 7 {
-			t.Errorf("%s single item: %v", name, got)
-		}
+	if got := BNL(one); len(got) != 1 || got[0].ID != 7 {
+		t.Errorf("BNL single item: %v", got)
 	}
 }
 
@@ -242,7 +194,7 @@ func TestSkylineMutualNonDominance(t *testing.T) {
 	// Property: no pair of returned skyline points dominates each other, and
 	// every non-returned point is dominated by some returned point.
 	items := randItems(500, 3, 77)
-	sky := SFS(items)
+	sky := BNL(items)
 	inSky := idSet(sky)
 	for i, a := range sky {
 		for j, b := range sky {
@@ -314,7 +266,7 @@ func TestGlobalSkylineSuperset(t *testing.T) {
 	q := geom.NewPoint(50, 50)
 	gs := idSet(GlobalSkyline(items, q))
 	// Every dynamic skyline point must be in the global skyline.
-	for _, it := range Dynamic(items, q) {
+	for _, it := range oracle.DynamicSkyline(items, q, oracle.NoExclude) {
 		if !gs[it.ID] {
 			t.Fatalf("dynamic skyline point %d missing from global skyline", it.ID)
 		}
@@ -324,7 +276,7 @@ func TestGlobalSkylineSuperset(t *testing.T) {
 func TestApproxDynamic(t *testing.T) {
 	items := randItems(2000, 2, 55)
 	c := geom.NewPoint(50, 50)
-	dsl := Dynamic(items, c)
+	dsl := dynamicBBS(items, c)
 	if len(dsl) < 6 {
 		t.Skipf("need a larger DSL for this test, got %d", len(dsl))
 	}
@@ -372,7 +324,7 @@ func TestApproxDynamic(t *testing.T) {
 func TestApproxDynamicSmallDSL(t *testing.T) {
 	items := fig1Points()
 	c := geom.NewPoint(8.5, 55)
-	dsl := Dynamic(items, c) // 2 points
+	dsl := dynamicBBS(items, c) // 2 points
 	approx := ApproxDynamic(dsl, c, 10, 0)
 	if len(approx) != len(dsl) {
 		t.Fatalf("small DSL should be returned whole: %d vs %d", len(approx), len(dsl))

@@ -13,7 +13,7 @@ import (
 
 func TestMWQBatchMatchesSingles(t *testing.T) {
 	products := randProducts(300, 3030)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	rng := rand.New(rand.NewSource(3031))
 	var q geom.Point
 	var rsl []Item

@@ -23,7 +23,7 @@ func TestConcurrentSafeRegionDuringMutation(t *testing.T) {
 	products := randProducts(150, 500)
 	db := rskyline.NewDB(2, products, rtree.Config{})
 	db.EnableDSLCache(64)
-	e := NewEngine(db, true)
+	e := NewEngine(db)
 	e.EnableAntiDDRCache(64)
 
 	// A query with a small reverse skyline, found deterministically.
@@ -78,7 +78,7 @@ func TestConcurrentSafeRegionDuringMutation(t *testing.T) {
 				// answer must match an engine without the anti-DDR cache (the
 				// shared DSL cache is generation-validated and witnessed
 				// separately in the rskyline concurrency suite).
-				fresh := must(NewEngine(db, true).SafeRegionCtx(context.Background(), q, rsl))
+				fresh := must(NewEngine(db).SafeRegionCtx(context.Background(), q, rsl))
 				if db.Generation() != g1 {
 					continue
 				}
@@ -97,7 +97,7 @@ func TestConcurrentSafeRegionDuringMutation(t *testing.T) {
 	// Post-quiescence: the caches warmed under churn must now agree with a
 	// cache-free engine, and the caches must have actually been exercised.
 	got := must(e.SafeRegionCtx(context.Background(), q, rsl))
-	fresh := must(NewEngine(db, true).SafeRegionCtx(context.Background(), q, rsl))
+	fresh := must(NewEngine(db).SafeRegionCtx(context.Background(), q, rsl))
 	if !region.Equivalent(got, fresh) {
 		t.Fatal("post-quiescence: cached safe region differs from fresh construction")
 	}

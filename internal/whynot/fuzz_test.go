@@ -12,7 +12,7 @@ import (
 )
 
 // fuzzEngine is shared across fuzz iterations (read-only use).
-var fuzzEngine = NewEngine(rskyline.NewDB(2, randProducts(250, 424242), rtree.Config{}), true)
+var fuzzEngine = NewEngine(rskyline.NewDB(2, randProducts(250, 424242), rtree.Config{}))
 
 // FuzzMWPMQP drives Algorithms 1 and 2 with arbitrary query and why-not
 // coordinates: no panics, no invalid candidates, costs non-negative.
@@ -22,7 +22,7 @@ var fuzzEngine = NewEngine(rskyline.NewDB(2, randProducts(250, 424242), rtree.Co
 func FuzzLoadApproxStore(f *testing.F) {
 	// Seed with a real store plus truncations and mutations of it.
 	products := randProducts(40, 77)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	store := must(e.BuildApproxStoreCtx(context.Background(), products[:10], 3, 0))
 	var buf bytes.Buffer
 	if err := store.Save(&buf); err != nil {
@@ -40,9 +40,9 @@ func FuzzLoadApproxStore(f *testing.F) {
 	}
 	f.Add(huge)
 	// A legacy v1 file is the v2 body without its CRC trailer and with the
-	// version field patched down; the decoder must still accept it.
+	// version field patched down; the decoder must reject it cleanly.
 	v1 := append([]byte{}, valid[:len(valid)-4]...)
-	v1[4], v1[5] = storeVersionV1, 0
+	v1[4], v1[5] = 1, 0
 	f.Add(v1)
 	// A mid-body bit flip must be caught by the trailer even where every
 	// field stays individually plausible.

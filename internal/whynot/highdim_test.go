@@ -26,7 +26,7 @@ func rand3D(n int, seed int64) []Item {
 // customer is in RSL(q).
 func TestAntiDDR3DMatchesMembership(t *testing.T) {
 	items := rand3D(120, 42)
-	e := NewEngine(rskyline.NewDB(3, items, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(3, items, rtree.Config{}))
 	rng := rand.New(rand.NewSource(43))
 	checked := 0
 	for trial := 0; trial < 30; trial++ {
@@ -48,7 +48,7 @@ func TestAntiDDR3DMatchesMembership(t *testing.T) {
 // 3-d safe region: interior probes preserve the reverse skyline.
 func TestSafeRegion3DPreservesRSL(t *testing.T) {
 	items := rand3D(120, 44)
-	e := NewEngine(rskyline.NewDB(3, items, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(3, items, rtree.Config{}))
 	rng := rand.New(rand.NewSource(45))
 	tested := 0
 	for trial := 0; trial < 40 && tested < 3; trial++ {
@@ -82,7 +82,7 @@ func TestSafeRegion3DPreservesRSL(t *testing.T) {
 // Full 3-d MWQ: the answer must admit the why-not point and keep the RSL.
 func TestMWQ3DSoundness(t *testing.T) {
 	items := rand3D(120, 46)
-	e := NewEngine(rskyline.NewDB(3, items, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(3, items, rtree.Config{}))
 	rng := rand.New(rand.NewSource(47))
 	tested := 0
 	for trial := 0; trial < 60 && tested < 3; trial++ {

@@ -40,7 +40,7 @@ func (e *Engine) MQPCtx(ctx context.Context, ct Item, q geom.Point, opt Options)
 	}
 	_, end := explain.StartPhase(ctx, "mqp", explain.RuleNone)
 	defer end()
-	frontier, err := e.DB.WindowFrontierChecked(chk, ct.Point, q, ct.Point, e.exclude(ct))
+	frontier, err := e.DB.WindowFrontierChecked(chk, ct.Point, q, ct.Point, ct.ID)
 	if err != nil {
 		return MQPResult{}, err
 	}
@@ -161,7 +161,7 @@ func (e *Engine) ValidateQueryMoveCtx(ctx context.Context, ct Item, cand geom.Po
 		return false, err
 	}
 	nudged := nudgeToward(cand, ct.Point, eps)
-	found, err := e.DB.WindowExistsChecked(chk, ct.Point, nudged, e.exclude(ct))
+	found, err := e.DB.WindowExistsChecked(chk, ct.Point, nudged, ct.ID)
 	if err != nil {
 		return false, err
 	}
@@ -187,16 +187,13 @@ func (e *Engine) MQPTotalCostCtx(ctx context.Context, q, qStar geom.Point, rsl [
 		}
 	}
 	total := e.costQ(anchor, qStar, opt)
-	for _, c := range rsl {
+	lost, err := e.LostCustomersCtx(ctx, qStar, rsl)
+	if err != nil {
+		return 0, err
+	}
+	for _, c := range lost {
 		if err := chk.Point(cancel.SiteCustomer); err != nil {
 			return 0, err
-		}
-		lost, err := e.DB.WindowExistsChecked(chk, c.Point, qStar, e.exclude(c))
-		if err != nil {
-			return 0, err
-		}
-		if !lost {
-			continue // still a reverse-skyline point of q*
 		}
 		res, err := e.mwp(chk, nil, c, qStar, opt)
 		if err != nil {

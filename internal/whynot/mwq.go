@@ -79,7 +79,7 @@ func (e *Engine) MWQCtx(ctx context.Context, ct Item, q geom.Point, sr region.Se
 func (e *Engine) mwq(chk *cancel.Checker, eb *explain.Builder, ct Item, q geom.Point, sr region.Set, opt Options) (MWQResult, error) {
 	spM := eb.Start("mwq", explain.RuleNone)
 	defer spM.End()
-	member, err := e.DB.WindowExistsChecked(chk, ct.Point, q, e.exclude(ct))
+	member, err := e.DB.WindowExistsChecked(chk, ct.Point, q, ct.ID)
 	if err != nil {
 		return MWQResult{}, err
 	}

@@ -18,7 +18,7 @@ import (
 
 func TestMWPOptimalityAgainstGridSearch(t *testing.T) {
 	products := randProducts(150, 5150)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	rng := rand.New(rand.NewSource(5151))
 	tested := 0
 	for trial := 0; trial < 80 && tested < 6; trial++ {
@@ -65,7 +65,7 @@ func TestMWPOptimalityAgainstGridSearch(t *testing.T) {
 
 func TestMQPOptimalityAgainstGridSearch(t *testing.T) {
 	products := randProducts(150, 5160)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	rng := rand.New(rand.NewSource(5161))
 	tested := 0
 	for trial := 0; trial < 80 && tested < 6; trial++ {
@@ -110,7 +110,7 @@ func TestMQPOptimalityAgainstGridSearch(t *testing.T) {
 // as well (the β vector of Eqn. (9)).
 func TestMWPOptimalityWeighted(t *testing.T) {
 	products := randProducts(120, 5170)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	rng := rand.New(rand.NewSource(5171))
 	opt := Options{WeightsC: []float64{0.8, 0.2}}
 	tested := 0

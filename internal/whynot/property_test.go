@@ -41,7 +41,7 @@ func propertyCases(t *testing.T, e *Engine, products []Item, seed int64, fn func
 
 func propertyEngine(seed int64) (*Engine, []Item) {
 	products := randProducts(200, seed+300)
-	return NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true), products
+	return NewEngine(rskyline.NewDB(2, products, rtree.Config{})), products
 }
 
 // TestPropertyMWQNeverCostlierThanMWP: MWP (move only the customer) is a

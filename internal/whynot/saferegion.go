@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/explain"
 	"repro/internal/region"
-	"repro/internal/rskyline"
 	"repro/internal/skyline"
 )
 
@@ -114,7 +113,7 @@ func (e *Engine) antiDDRCached(chk *cancel.Checker, c Item, universe geom.Rect, 
 // (through the database's DSL cache when enabled) followed by the Fig. 10
 // staircase construction.
 func (e *Engine) antiDDRCompute(chk *cancel.Checker, c Item, universe geom.Rect, poll func() error) (region.Set, error) {
-	dsl, err := e.DB.DynamicSkylineOfChecked(chk, c, e.exclude(c))
+	dsl, err := e.DB.DynamicSkylineOfChecked(chk, c, c.ID)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +182,7 @@ func (e *Engine) BuildApproxStoreCtx(ctx context.Context, customers []Item, k, s
 	corners := make([][]geom.Point, len(customers))
 	err := exec.ForEach(ctx, len(customers), cancel.SiteStoreBuild, func(chk *cancel.Checker, i int) error {
 		c := customers[i]
-		dsl, err := e.DB.DynamicSkylineExcludingChecked(chk, c.Point, e.exclude(c))
+		dsl, err := e.DB.DynamicSkylineExcludingChecked(chk, c.Point, c.ID)
 		if err != nil {
 			return err
 		}
@@ -295,25 +294,27 @@ func ExpandSafeRegion(limits geom.Rect) region.Set {
 
 // LostCustomersCtx returns the members of rsl that would leave the reverse
 // skyline if the query point moved to qStar — the side-effect measure for
-// truncated/expanded safe regions and for raw MQP answers (one
-// window-existence probe per reverse-skyline member).
+// truncated/expanded safe regions and for raw MQP answers. It is rsl minus
+// RSL(qStar) over rsl: one window-existence probe per member through the
+// database's membership loop, which fans out over exec.Workers(ctx)
+// goroutines. The result is in rsl order.
 func (e *Engine) LostCustomersCtx(ctx context.Context, qStar geom.Point, rsl []Item) ([]Item, error) {
-	chk, err := entry(ctx)
+	if _, err := entry(ctx); err != nil {
+		return nil, err
+	}
+	kept, err := e.DB.ReverseSkylineCtx(ctx, rsl, qStar)
 	if err != nil {
 		return nil, err
 	}
+	// kept is a subsequence of rsl, so one merge pass finds the difference.
 	var lost []Item
+	k := 0
 	for _, c := range rsl {
-		if err := chk.Point(cancel.SiteCustomer); err != nil {
-			return nil, err
+		if k < len(kept) && kept[k].ID == c.ID && kept[k].Point.Equal(c.Point) {
+			k++
+			continue
 		}
-		gone, err := e.DB.WindowExistsChecked(chk, c.Point, qStar, e.exclude(c))
-		if err != nil {
-			return nil, err
-		}
-		if gone {
-			lost = append(lost, c)
-		}
+		lost = append(lost, c)
 	}
 	return lost, nil
 }
@@ -335,32 +336,4 @@ func (e *Engine) antiDDROf(chk *cancel.Checker, c Item) (region.Set, error) {
 		return region.Set{geom.PointRect(c.Point)}, nil
 	}
 	return e.antiDDRCompute(chk, c, universe, pollAt(chk, cancel.SiteAntiDDR))
-}
-
-// ReverseSkylineCtx recomputes RSL(q) over the given customers (convenience
-// passthrough used by the harness and examples). Under the monochromatic
-// convention it is the database's per-customer loop, which fans out over
-// exec.Workers(ctx) goroutines.
-func (e *Engine) ReverseSkylineCtx(ctx context.Context, customers []Item, q geom.Point) ([]Item, error) {
-	chk, err := entry(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if e.Mono {
-		return e.DB.ReverseSkylineCtx(ctx, customers, q)
-	}
-	out := make([]Item, 0)
-	for _, c := range customers {
-		if err := chk.Point(cancel.SiteCustomer); err != nil {
-			return nil, err
-		}
-		member, err := e.DB.WindowExistsChecked(chk, c.Point, q, rskyline.NoExclude)
-		if err != nil {
-			return nil, err
-		}
-		if !member {
-			out = append(out, c)
-		}
-	}
-	return out, nil
 }

@@ -90,7 +90,7 @@ func TestExpandSafeRegionAndLostCustomers(t *testing.T) {
 // precomputed (exact fallback path).
 func TestApproxSafeRegionFallback(t *testing.T) {
 	products := randProducts(400, 777)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	// Store covers only the first 10 customers.
 	store := must(e.BuildApproxStoreCtx(context.Background(), products[:10], 5, 0))
 	rng := rand.New(rand.NewSource(778))
@@ -177,7 +177,7 @@ func TestDynamicSkylineExcludingMatchesBrute(t *testing.T) {
 // Region-level sanity for safe regions on random data: exactness by probing.
 func TestSafeRegionExactnessRandom(t *testing.T) {
 	products := randProducts(250, 999)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	rng := rand.New(rand.NewSource(1001))
 	tested := 0
 	for trial := 0; trial < 40 && tested < 4; trial++ {
@@ -227,7 +227,7 @@ func TestOptionsWeightsChangeBestCandidate(t *testing.T) {
 
 func TestSortDimOptionStillValid(t *testing.T) {
 	products := randProducts(300, 1234)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	rng := rand.New(rand.NewSource(1235))
 	tested := 0
 	for trial := 0; trial < 50 && tested < 10; trial++ {
@@ -263,28 +263,5 @@ func TestRegionEquivalenceHelperOnSafeRegions(t *testing.T) {
 	b := must(e.SafeRegionCtx(context.Background(), paperQ, rsl))
 	if !region.Equivalent(a, b) {
 		t.Fatal("safe region computation must be deterministic")
-	}
-}
-
-func TestEngineReverseSkylinePassthrough(t *testing.T) {
-	// Monochromatic engine: same result as the DB path.
-	e := fig1Engine()
-	mono := must(e.ReverseSkylineCtx(context.Background(), fig1(), paperQ))
-	if len(mono) != 5 {
-		t.Fatalf("mono RSL = %d", len(mono))
-	}
-	// Bichromatic engine: customers with IDs outside the product space.
-	products := randProducts(200, 60)
-	eb := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), false)
-	customers := randProducts(50, 61)
-	for i := range customers {
-		customers[i].ID += 50000
-	}
-	q := geom.NewPoint(50, 50)
-	got := must(eb.ReverseSkylineCtx(context.Background(), customers, q))
-	for _, c := range got {
-		if must(eb.DB.WindowExistsChecked(nil, c.Point, q, rskyline.NoExclude)) {
-			t.Fatalf("bichromatic member %d fails the window test", c.ID)
-		}
 	}
 }

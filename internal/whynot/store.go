@@ -7,9 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"sort"
-	"sync"
 
 	"repro/internal/geom"
 )
@@ -19,19 +17,18 @@ import (
 //	magic "RSKA" | u16 version | i32 K | i32 SortDim | u32 customer count
 //	per customer: i64 id | u32 corner count
 //	per corner:   u16 dims | dims × f64 coordinates
-//	trailer (v2): u32 CRC32C over every preceding byte
+//	trailer:      u32 CRC32C over every preceding byte
 //
 // The format is length-prefixed but every length is validated against what
 // the reader can actually deliver: decoding allocates proportionally to the
 // bytes read, never to a length claimed by the header, so hostile input
-// cannot trigger unbounded allocation or a panic. The v2 trailer catches
+// cannot trigger unbounded allocation or a panic. The trailer catches
 // what per-field validation cannot: a bit flip inside an otherwise plausible
-// coordinate. Version-1 files (no trailer) still load, with a one-time
-// deprecation warning — re-save to upgrade.
+// coordinate. Version-1 files (no trailer) are rejected as an unsupported
+// version.
 const (
-	storeMagic     = "RSKA"
-	storeVersion   = 2
-	storeVersionV1 = 1
+	storeMagic   = "RSKA"
+	storeVersion = 2
 	// maxStoreDims caps point dimensionality; real datasets are ≤ ~10-d and
 	// anything near the cap indicates corruption.
 	maxStoreDims = 1 << 10
@@ -39,9 +36,6 @@ const (
 
 // storeCRCTable is the Castagnoli polynomial, matching the WAL's framing.
 var storeCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// storeV1Warn fires the v1 deprecation warning at most once per process.
-var storeV1Warn sync.Once
 
 // Save writes the store in a self-contained binary format (§VI.B.1 keeps the
 // approximate skylines "stored (off-line)"; this is that offline artifact).
@@ -130,7 +124,7 @@ func LoadApproxStore(r io.Reader) (*ApproxStore, error) {
 	br := bufio.NewReader(r)
 	crc := crc32.New(storeCRCTable)
 	var scratch [8]byte
-	// readN feeds the running CRC; the v2 trailer itself is read raw below,
+	// readN feeds the running CRC; the trailer itself is read raw below,
 	// after the body, so the sum covers exactly what Save hashed.
 	readN := func(n int, what string) error {
 		if _, err := io.ReadFull(br, scratch[:n]); err != nil {
@@ -168,8 +162,8 @@ func LoadApproxStore(r io.Reader) (*ApproxStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != storeVersion && version != storeVersionV1 {
-		return nil, fmt.Errorf("whynot: approx store: unsupported version %d (want %d or %d)", version, storeVersion, storeVersionV1)
+	if version != storeVersion {
+		return nil, fmt.Errorf("whynot: approx store: unsupported version %d (want %d)", version, storeVersion)
 	}
 	k, err := readU32("K")
 	if err != nil {
@@ -235,20 +229,13 @@ func LoadApproxStore(r io.Reader) (*ApproxStore, error) {
 		}
 		s.corners[id] = cs
 	}
-	switch version {
-	case storeVersionV1:
-		storeV1Warn.Do(func() {
-			fmt.Fprintln(os.Stderr, "whynot: approx store: deprecated v1 format (no checksum); re-save (e.g. buildstore -save-store) to upgrade")
-		})
-	default:
-		// The sum must be captured before the trailer read touches scratch.
-		want := crc.Sum32()
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return nil, fmt.Errorf("whynot: approx store: truncated checksum trailer: %w", err)
-		}
-		if got := binary.LittleEndian.Uint32(scratch[:4]); got != want {
-			return nil, fmt.Errorf("whynot: approx store: checksum mismatch: trailer %08x, computed %08x (corrupt or torn file)", got, want)
-		}
+	// The sum must be captured before the trailer read touches scratch.
+	want := crc.Sum32()
+	if _, err := io.ReadFull(br, scratch[:4]); err != nil {
+		return nil, fmt.Errorf("whynot: approx store: truncated checksum trailer: %w", err)
+	}
+	if got := binary.LittleEndian.Uint32(scratch[:4]); got != want {
+		return nil, fmt.Errorf("whynot: approx store: checksum mismatch: trailer %08x, computed %08x (corrupt or torn file)", got, want)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("whynot: approx store: trailing data after %d customers", count)

@@ -14,7 +14,7 @@ import (
 
 func TestApproxStoreSaveLoadRoundTrip(t *testing.T) {
 	products := randProducts(300, 2024)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	store := must(e.BuildApproxStoreCtx(context.Background(), products[:50], 7, 0))
 	if store.Len() != 50 {
 		t.Fatalf("store Len = %d", store.Len())
@@ -63,7 +63,7 @@ func TestLoadApproxStoreErrors(t *testing.T) {
 
 func TestBuildApproxStoreParallelMatchesSerial(t *testing.T) {
 	products := randProducts(400, 2025)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	serial := must(e.BuildApproxStoreCtx(context.Background(), products[:120], 5, 0))
 	for _, workers := range []int{-1, 1, 4} {
 		parallel := must(e.BuildApproxStoreCtx(exec.WithWorkers(context.Background(), workers), products[:120], 5, 0))
@@ -89,7 +89,7 @@ func TestBuildApproxStoreParallelMatchesSerial(t *testing.T) {
 // alone cannot catch a bit flip inside a plausible coordinate.
 func TestApproxStoreChecksum(t *testing.T) {
 	products := randProducts(60, 99)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	store := must(e.BuildApproxStoreCtx(context.Background(), products[:12], 3, 0))
 	var buf bytes.Buffer
 	if err := store.Save(&buf); err != nil {
@@ -111,10 +111,11 @@ func TestApproxStoreChecksum(t *testing.T) {
 }
 
 // TestApproxStoreV1Compat: a legacy v1 file — no trailer, version field 1 —
-// still loads, and re-saving upgrades it to checksummed v2.
+// no longer loads; it fails with the unsupported-version error, and so does
+// one with trailing data.
 func TestApproxStoreV1Compat(t *testing.T) {
 	products := randProducts(60, 100)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	store := must(e.BuildApproxStoreCtx(context.Background(), products[:12], 3, 0))
 	var buf bytes.Buffer
 	if err := store.Save(&buf); err != nil {
@@ -124,25 +125,11 @@ func TestApproxStoreV1Compat(t *testing.T) {
 
 	// Reconstruct the v1 encoding: strip the CRC trailer, patch the version.
 	v1 := append([]byte{}, v2[:len(v2)-4]...)
-	v1[4], v1[5] = storeVersionV1, 0
-
-	back, err := LoadApproxStore(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 store rejected: %v", err)
-	}
-	if back.Len() != store.Len() || back.K != store.K || back.SortDim != store.SortDim {
-		t.Fatalf("v1 load lost data: %d/%d/%d", back.Len(), back.K, back.SortDim)
-	}
-	// Re-saving emits v2 bytes, trailer included.
-	var up bytes.Buffer
-	if err := back.Save(&up); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(up.Bytes(), v2) {
-		t.Fatal("re-saved v1 store does not match the v2 encoding")
-	}
-	// A v1 file with trailing garbage still fails.
-	if _, err := LoadApproxStore(bytes.NewReader(append(v1, 0))); err == nil {
-		t.Fatal("v1 store with trailing data accepted")
+	v1[4], v1[5] = 1, 0
+	for _, data := range [][]byte{v1, append(v1, 0)} {
+		_, err := LoadApproxStore(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+			t.Fatalf("v1 store: err = %v, want unsupported version 1", err)
+		}
 	}
 }

@@ -64,12 +64,13 @@ type Candidate struct {
 }
 
 // Engine binds a product database with the normaliser used for costs.
-// Mono selects the monochromatic convention under which a customer's own
-// product record (matched by ID) is invisible to its window queries.
+// Every window query and dynamic skyline it runs for a customer follows the
+// monochromatic convention: the customer's own product record (matched by
+// ID) is invisible to it. For bichromatic data, whose customer IDs are
+// disjoint from the product IDs, the convention is a no-op.
 type Engine struct {
 	DB   *rskyline.DB
 	Norm *geom.Normalizer
-	Mono bool
 
 	// addr memoises per-customer anti-dominance regions (the per-c_l unit of
 	// Algorithm 3). Nil — the default — disables caching. Entries carry the
@@ -114,19 +115,12 @@ func (e *Engine) InvalidateCaches() {
 
 // NewEngine builds an engine over db. The cost normaliser is fitted to the
 // product universe.
-func NewEngine(db *rskyline.DB, mono bool) *Engine {
+func NewEngine(db *rskyline.DB) *Engine {
 	u, ok := db.Universe()
 	if !ok {
 		u = geom.NewRect(make(geom.Point, db.Dims()), make(geom.Point, db.Dims()))
 	}
-	return &Engine{DB: db, Norm: geom.NewNormalizerFromRect(u), Mono: mono}
-}
-
-func (e *Engine) exclude(ct Item) int {
-	if e.Mono {
-		return ct.ID
-	}
-	return rskyline.NoExclude
+	return &Engine{DB: db, Norm: geom.NewNormalizerFromRect(u)}
 }
 
 // entry guards a context-aware entry point: it rejects an already-cancelled
@@ -152,7 +146,7 @@ func (e *Engine) ExplainCtx(ctx context.Context, ct Item, q geom.Point) ([]Item,
 	}
 	sp, end := explain.StartPhase(ctx, "explain.window", explain.RuleDSLWindow)
 	defer end()
-	out, err := e.DB.WindowQueryChecked(chk, ct.Point, q, e.exclude(ct))
+	out, err := e.DB.WindowQueryChecked(chk, ct.Point, q, ct.ID)
 	if err == nil {
 		sp.SetOut(len(out))
 	}
@@ -209,7 +203,7 @@ func (e *Engine) MWPCtx(ctx context.Context, ct Item, q geom.Point, opt Options)
 // (threaded explicitly like chk — this layer has no context).
 func (e *Engine) mwp(chk *cancel.Checker, eb *explain.Builder, ct Item, q geom.Point, opt Options) (MWPResult, error) {
 	spF := eb.Start("mwp.frontier", explain.RuleDSLWindow)
-	frontier, err := e.DB.WindowFrontierChecked(chk, ct.Point, q, q, e.exclude(ct))
+	frontier, err := e.DB.WindowFrontierChecked(chk, ct.Point, q, q, ct.ID)
 	if err != nil {
 		spF.End()
 		return MWPResult{}, err
@@ -411,7 +405,7 @@ func (e *Engine) ValidateWhyNotMoveCtx(ctx context.Context, ct Item, q geom.Poin
 		return false, err
 	}
 	nudged := nudgeToward(cand, q, eps)
-	found, err := e.DB.WindowExistsChecked(chk, nudged, q, e.exclude(ct))
+	found, err := e.DB.WindowExistsChecked(chk, nudged, q, ct.ID)
 	if err != nil {
 		return false, err
 	}

@@ -28,7 +28,7 @@ func fig1() []Item {
 var paperQ = geom.NewPoint(8.5, 55)
 
 func fig1Engine() *Engine {
-	return NewEngine(rskyline.NewDB(2, fig1(), rtree.Config{}), true)
+	return NewEngine(rskyline.NewDB(2, fig1(), rtree.Config{}))
 }
 
 // must unwraps an unchecked query: with a nil checker or a background
@@ -311,7 +311,7 @@ func randProducts(n int, seed int64) []Item {
 func TestMWPValidityRandom(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		products := randProducts(300, seed)
-		e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+		e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 		rng := rand.New(rand.NewSource(seed + 50))
 		tested := 0
 		for trial := 0; trial < 60 && tested < 15; trial++ {
@@ -346,7 +346,7 @@ func TestMWPValidityRandom(t *testing.T) {
 func TestMQPValidityRandom(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		products := randProducts(300, seed+100)
-		e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+		e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 		rng := rand.New(rand.NewSource(seed + 150))
 		tested := 0
 		for trial := 0; trial < 60 && tested < 15; trial++ {
@@ -375,7 +375,7 @@ func TestMQPValidityRandom(t *testing.T) {
 func TestMWQSoundnessRandom(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		products := randProducts(200, seed+200)
-		e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+		e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 		rng := rand.New(rand.NewSource(seed + 250))
 		tested := 0
 		for trial := 0; trial < 40 && tested < 6; trial++ {
@@ -432,7 +432,7 @@ func TestMWQSoundnessRandom(t *testing.T) {
 // measure), so Approx-MWQ can never lose an existing customer.
 func TestApproxSafeRegionSubset(t *testing.T) {
 	products := randProducts(400, 999)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	store := must(e.BuildApproxStoreCtx(context.Background(), products, 5, 0))
 	rng := rand.New(rand.NewSource(1000))
 	tested := 0
@@ -462,7 +462,7 @@ func TestApproxSafeRegionSubset(t *testing.T) {
 // Approx-MWQ quality bound from §VI.B.2: never worse than MWP.
 func TestApproxMWQNeverWorseThanMWP(t *testing.T) {
 	products := randProducts(300, 555)
-	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(2, products, rtree.Config{}))
 	store := must(e.BuildApproxStoreCtx(context.Background(), products, 5, 0))
 	rng := rand.New(rand.NewSource(556))
 	tested := 0
@@ -520,7 +520,7 @@ func TestMWPHigherDimensional(t *testing.T) {
 	for i := range items {
 		items[i] = Item{ID: i, Point: geom.NewPoint(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)}
 	}
-	e := NewEngine(rskyline.NewDB(3, items, rtree.Config{}), true)
+	e := NewEngine(rskyline.NewDB(3, items, rtree.Config{}))
 	tested := 0
 	for trial := 0; trial < 60 && tested < 10; trial++ {
 		q := geom.NewPoint(rng.Float64()*10, rng.Float64()*10, rng.Float64()*10)

@@ -198,7 +198,7 @@ func NewDB(dims int, products []Item) *DB {
 // NewDBWithOptions is NewDB with explicit parallelism and caching knobs.
 func NewDBWithOptions(dims int, products []Item, opts DBOptions) *DB {
 	rdb := rskyline.NewDB(dims, products, rtree.Config{})
-	engine := whynot.NewEngine(rdb, true)
+	engine := whynot.NewEngine(rdb)
 	if opts.CacheSize > 0 {
 		rdb.EnableDSLCache(opts.CacheSize)
 		engine.EnableAntiDDRCache(opts.CacheSize)
